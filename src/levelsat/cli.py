@@ -48,8 +48,8 @@ from .formula import (
     free_vars,
     parse,
     parse_level,
+    roles,
     seeded_schedule,
-    var_sort_key,
 )
 from .plots import trend_plot_svg
 from .structures import FinStructure, canonical_json
@@ -86,7 +86,6 @@ class Config:
     stages: int
     schedule_kind: str
     horizon: int
-    budget: Optional[int]
     window: int
     bound: float
     sets: dict[str, SetSpec]
@@ -127,9 +126,6 @@ def load_config(path: str) -> Config:
     horizon = doc.get("horizon", 4)
     if not isinstance(horizon, int) or horizon < 1:
         raise ConfigError("horizon must be a positive integer")
-    budget = doc.get("budget")
-    if budget is not None and (not isinstance(budget, int) or budget < 0):
-        raise ConfigError("budget must be a nonnegative integer")
     comp = doc.get("comparator") or {}
     window = comp.get("window", 10)
     bound = comp.get("bound", 2.0)
@@ -156,11 +152,7 @@ def load_config(path: str) -> Config:
             raise ConfigError(f"set {sname!r}: params must be a mapping")
         split = spec.get("split")
         if split is None:
-            split = [
-                v
-                for v in sorted(free_vars(f), key=var_sort_key)
-                if v.startswith("x") and v not in params_raw
-            ]
+            split = [v for v in roles(f)[0] if v not in params_raw]
         free = free_vars(f)
         for v in list(split) + list(params_raw):
             if v not in free:
@@ -210,7 +202,7 @@ def load_config(path: str) -> Config:
         )
 
     return Config(
-        name, stages, kind, horizon, budget, window, float(bound),
+        name, stages, kind, horizon, window, float(bound),
         sets, tuple(comparisons), tuple(dividing),
     )
 
@@ -276,8 +268,7 @@ def _write(path: Path, text: str) -> None:
 
 def cmd_build(cfg: Config, out_dir: Path, stages: Optional[int]) -> int:
     n = cfg.stages if stages is None else stages
-    count = max(n, cfg.budget or 0)
-    chain = build_chain(get_plugin(cfg.plugin), n, schedule=_schedule_for(cfg, count))
+    chain = build_chain(get_plugin(cfg.plugin), n, schedule=_schedule_for(cfg, n))
     final = chain.final
     print(
         f"plugin {cfg.plugin}, {n} stages, schedule {cfg.schedule_kind} "
@@ -290,7 +281,7 @@ def cmd_build(cfg: Config, out_dir: Path, stages: Optional[int]) -> int:
 
 
 def cmd_schedule(cfg: Config, count: Optional[int]) -> int:
-    n = count if count is not None else (cfg.budget or 20)
+    n = 20 if count is None else count
     for e in _schedule_for(cfg, n)[:n]:
         print(
             f"{e.position:4d}  {e.level.render():<8} "
@@ -386,11 +377,11 @@ def cmd_divide(
         psi_csv = out_dir / f"{spec.name}.psi.csv"
         phi_csv = out_dir / f"{spec.name}.phi.csv"
         _write(psi_csv, export_trend_csv(trend(chain, psi, label=spec.psi)))
+        _, ys, rest = roles(spec.phi)
         base = DefinableSet(
             spec.phi,
             psi.vars,
-            tuple(zip(_rest_vars(spec.phi), a_ids))
-            + tuple(zip(_inst_vars(spec.phi), b_ids)),
+            tuple(zip(rest, a_ids)) + tuple(zip(ys, b_ids)),
             psi.cap,
         )
         _write(phi_csv, export_trend_csv(trend(chain, base)))
@@ -446,20 +437,6 @@ def cmd_divide(
     return _check_expect(
         expect, certified=certified_all if cfg.dividing else None,
         dropped=dropped_all if cfg.dividing else None,
-    )
-
-
-def _rest_vars(phi: Formula) -> tuple[str, ...]:
-    return tuple(
-        v
-        for v in sorted(free_vars(phi), key=var_sort_key)
-        if not v.startswith("x") and not v.startswith("y")
-    )
-
-
-def _inst_vars(phi: Formula) -> tuple[str, ...]:
-    return tuple(
-        v for v in sorted(free_vars(phi), key=var_sort_key) if v.startswith("y")
     )
 
 

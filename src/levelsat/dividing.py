@@ -30,26 +30,11 @@ from .formula import (
     RelAtom,
     conjoin,
     fin,
-    free_vars,
     render,
-    var_sort_key,
+    roles,
 )
 from .structures import FinStructure, apply_delta
 from .theory import TheoryPlugin
-
-
-def _roles(phi: Formula) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """Free variables of phi by role: x* are solution slots, y* are instance
-    slots, anything else is a fixed parameter slot."""
-    xs, ys, rest = [], [], []
-    for v in sorted(free_vars(phi), key=var_sort_key):
-        if v.startswith("x"):
-            xs.append(v)
-        elif v.startswith("y"):
-            ys.append(v)
-        else:
-            rest.append(v)
-    return tuple(xs), tuple(ys), tuple(rest)
 
 
 def _matching_tuples(
@@ -172,7 +157,7 @@ def certify_dividing(
     type at a time (apart from the family found so far) until L instances
     are confirmed or a growth step fails. None means no certificate found.
     k = 1 is the degenerate reading: every instance alone unrealizable."""
-    xs, ys, rest = _roles(phi)
+    xs, ys, rest = roles(phi)
     if len(rest) != len(a_ids):
         raise ValueError(f"phi has {len(rest)} parameter slots, got {len(a_ids)} ids")
     if len(ys) != len(b_ids):
@@ -298,7 +283,7 @@ def find_dimension_drop(
     whose parameters appear too late to cover the comparison window are
     skipped and listed. Raises ValueError if the base instance ever leaves
     psi, since the gap is only a dimension drop for subsets."""
-    xs, ys, rest = _roles(phi)
+    xs, ys, rest = roles(phi)
     if len(rest) != len(a_ids) or len(ys) != len(b_ids):
         raise ValueError("parameter ids do not fit phi's slots")
     if xs != psi.vars:

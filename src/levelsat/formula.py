@@ -245,13 +245,25 @@ def var_sort_key(name: str) -> tuple[str, int, str]:
     return (name, -1, name)
 
 
-def split_vars(f: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Split free variables by leading letter: x* are parameters (the for-all
-    side), y* are witnesses (the exists side). Anything else counts as x."""
-    xs, ys = [], []
+def roles(f: Formula) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """Free variables by role, each in var_sort_key order: x* are solution
+    slots, y* are instance slots, anything else is a fixed parameter."""
+    xs, ys, rest = [], [], []
     for v in sorted(free_vars(f), key=var_sort_key):
-        (ys if v.startswith("y") else xs).append(v)
-    return tuple(xs), tuple(ys)
+        if v.startswith("x"):
+            xs.append(v)
+        elif v.startswith("y"):
+            ys.append(v)
+        else:
+            rest.append(v)
+    return tuple(xs), tuple(ys), tuple(rest)
+
+
+def split_vars(f: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Split free variables for an axiom: y* are witnesses (the exists side),
+    everything else are parameters (the for-all side), x* and the rest alike."""
+    xs, ys, rest = roles(f)
+    return tuple(sorted(xs + rest, key=var_sort_key)), ys
 
 
 # ---------------------------------------------------------------------------

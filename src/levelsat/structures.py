@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Optional
 
 from .formula import LevelOrdinal, Signature, parse_level
 
@@ -85,9 +86,11 @@ class FinStructure:
     def facts(self, rel: str) -> frozenset[tuple[int, ...]]:
         return self._rels[rel]
 
-    def v_ids(self, alpha: LevelOrdinal) -> tuple[int, ...]:
+    def v_ids(self, alpha: Optional[LevelOrdinal]) -> tuple[int, ...]:
         """Ids of V_alpha = elements at level <= alpha, ascending. Monotone in
-        alpha by definition."""
+        alpha by definition. alpha None means the whole universe."""
+        if alpha is None:
+            return self.universe
         cached = self._vcache.get(alpha)
         if cached is None:
             cached = tuple(e for e in self.universe if self._level[e] <= alpha)
@@ -142,11 +145,6 @@ class FinStructure:
 
 def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def v_set(structure: FinStructure, alpha: LevelOrdinal) -> tuple[int, ...]:
-    """V_alpha of the structure as a sorted id tuple."""
-    return structure.v_ids(alpha)
 
 
 def apply_delta(structure: FinStructure, delta: ExtensionDelta) -> FinStructure:

@@ -15,6 +15,11 @@ new points to add and how they relate to the old ones. Minimality: fewest new
 elements first, then a fixed lexicographic tie-break (old ids ascending before
 fresh slots, fresh attributes in canonical order, edge valuations
 false-before-true). Two calls with equal arguments return equal results.
+
+The search over slot assignments (TheoryPlugin._search) runs on the
+evaluator's one backtracking routine, evaluator.backtrack, and every
+three-valued check goes through evaluator.truth with the plugin's
+_slot_atom as the atom function.
 """
 
 from __future__ import annotations
@@ -22,12 +27,12 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
-from .evaluator import evaluate
+from .evaluator import backtrack, evaluate, truth
 from .formula import (
     And,
-    Eq,
     Formula,
     LevelOrdinal,
     Not,
@@ -78,37 +83,10 @@ def _axiom(name: str, text: str, sig: Signature) -> Axiom:
     return Axiom(name, f, xs, ys)
 
 
-def _eval3(f: Formula, env: dict[str, int], atom_fn) -> Optional[bool]:
-    """Three-valued evaluation over resolved terms. atom_fn may return None
-    for atoms whose truth is not yet pinned down; None propagates Kleene-style."""
-    if isinstance(f, RelAtom):
-        return atom_fn(f.rel, tuple(env[a] for a in f.args))
-    if isinstance(f, Eq):
-        return env[f.left] == env[f.right]
-    if isinstance(f, Not):
-        v = _eval3(f.body, env, atom_fn)
-        return None if v is None else not v
-    if isinstance(f, And):
-        l = _eval3(f.left, env, atom_fn)
-        if l is False:
-            return False
-        r = _eval3(f.right, env, atom_fn)
-        if r is False:
-            return False
-        if l is True and r is True:
-            return True
-        return None
-    if isinstance(f, Or):
-        l = _eval3(f.left, env, atom_fn)
-        if l is True:
-            return True
-        r = _eval3(f.right, env, atom_fn)
-        if r is True:
-            return True
-        if l is False and r is False:
-            return False
-        return None
-    raise OracleError(f"oracle formulas must be quantifier-free: {f!r}")
+def _markers(env: dict[str, int]) -> int:
+    """Fresh markers in a slot assignment: they are -1, -2, ... in first-use
+    order, so the count is the least term negated, 0 when all are old."""
+    return max(0, -min(env.values(), default=0))
 
 
 class TheoryPlugin(abc.ABC):
@@ -158,11 +136,12 @@ class TheoryPlugin(abc.ABC):
         every extension of M).
 
         Old elements used as witness components are drawn from allowed_old
-        when given (default: the whole universe); new elements enter at
-        level_for_new. A None result never depends on allowed_old: if phi is
-        realizable at all, it is realizable with all old components replaced
-        by fresh ones, so the restriction only shapes which witness comes
-        back, not whether one exists.
+        plus the parameters a_tuple when allowed_old is given (default: the
+        whole universe); new elements enter at level_for_new. A None result
+        never depends on allowed_old: if phi is realizable at all, it is
+        realizable with every old component outside a_tuple replaced by a
+        fresh one, so the restriction only shapes which witness comes back,
+        not whether one exists.
         """
         if x_vars is None or y_vars is None:
             xs, ys = split_vars(phi)
@@ -182,7 +161,7 @@ class TheoryPlugin(abc.ABC):
         if allowed_old is None:
             pool: tuple[int, ...] = M.universe
         else:
-            pool = tuple(sorted(set(allowed_old)))
+            pool = tuple(sorted(set(allowed_old) | set(a_tuple)))
             for e in pool:
                 if e not in uni:
                     raise OracleError(f"allowed_old id {e} not in the universe")
@@ -248,65 +227,37 @@ class TheoryPlugin(abc.ABC):
         kmax: int,
     ) -> Optional[tuple[list[tuple[str, tuple[int, ...]]], dict[str, int]]]:
         """Backtracking over slot assignments. Fresh slots are negative
-        markers -1, -2, ... introduced in first-use order; iteration k admits
+        markers -1, -2, ... introduced in first-use order; pass k admits
         exactly k distinct markers, so fewer-new-element witnesses win.
         Returns (new facts over terms, full term environment) or None."""
         parts = conjuncts(phi)
-        fvs = [free_vars(p) for p in parts]
-        yset = set(y_vars)
-
-        def slot_atom(rel: str, terms: tuple[int, ...]) -> Optional[bool]:
-            return self._slot_atom(M, rel, terms)
-
-        # conjuncts not mentioning any witness variable are fixed by env0
-        for p, fv in zip(parts, fvs):
-            if not (fv & yset):
-                if _eval3(p, env0, slot_atom) is False:
-                    return None
-
+        atom = partial(self._slot_atom, M, None)
         for k in range(kmax + 1):
-            env = dict(env0)
 
-            def rec(i: int, used: int) -> Optional[tuple[list, dict[str, int]]]:
+            def candidates(i: int, env: dict[str, int]) -> tuple[int, ...]:
+                used = _markers(env)
                 if k - used > len(y_vars) - i:
-                    return None  # cannot introduce the remaining markers
-                if i == len(y_vars):
-                    if used < k:
-                        return None  # explored already at a smaller k
-                    facts = self._complete(M, parts, env)
-                    if facts is None:
-                        return None
-                    return facts, dict(env)
-                var = y_vars[i]
-                candidates = list(pool) + [-(j + 1) for j in range(used)]
-                if used < k:
-                    candidates.append(-(used + 1))
-                for t in candidates:
-                    env[var] = t
-                    ok = True
-                    for p, fv in zip(parts, fvs):
-                        if var in fv and fv <= env.keys():
-                            if _eval3(p, env, slot_atom) is False:
-                                ok = False
-                                break
-                    if ok:
-                        hit = rec(i + 1, used + (1 if t == -(used + 1) else 0))
-                        if hit is not None:
-                            return hit
-                env.pop(var, None)
-                return None
+                    return ()  # cannot introduce the remaining markers
+                return pool + tuple(-(j + 1) for j in range(min(used + 1, k)))
 
-            hit = rec(0, 0)
-            if hit is not None:
-                return hit
+            for env in backtrack(phi, env0, y_vars, candidates, atom):
+                if _markers(env) < k:
+                    continue  # explored already at a smaller k
+                facts = self._complete(M, parts, env)
+                if facts is not None:
+                    return facts, dict(env)
         return None
 
     # -- hooks -------------------------------------------------------------------
 
     @abc.abstractmethod
-    def _slot_atom(self, M: FinStructure, rel: str, terms: tuple[int, ...]) -> Optional[bool]:
+    def _slot_atom(
+        self, M: FinStructure, val: Optional[dict], rel: str, terms: tuple[int, ...]
+    ) -> Optional[bool]:
         """Truth of a relation atom over terms (old ids >= 0, fresh markers
-        < 0) insofar as it is already forced; None if a later choice decides."""
+        < 0) insofar as M and val force it; None if a later choice decides.
+        val is the plugin's choice of structure on the fresh markers that
+        _complete is trying, None during the slot search."""
 
     @abc.abstractmethod
     def _complete(
@@ -336,18 +287,14 @@ class InfiniteSetTheory(TheoryPlugin):
             _axiom("third", "!(y0 = x0) & !(y0 = x1)", sig),
         )
 
-    def _slot_atom(self, M, rel, terms):
+    def _slot_atom(self, M, val, rel, terms):
         raise OracleError(f"no relation {rel!r} in the empty signature")
 
     def _complete(self, M, parts, env):
-        for p in parts:
-            if _eval3(p, env, self._no_atoms) is not True:
-                return None
-        return []
-
-    @staticmethod
-    def _no_atoms(rel, terms):
-        raise OracleError(f"no relation {rel!r} in the empty signature")
+        atom = partial(self._slot_atom, M, None)
+        if all(truth(p, env, atom) is True for p in parts):
+            return []
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +308,14 @@ class _GraphTheory(TheoryPlugin):
 
     rel = "R"
 
-    def _slot_atom(self, M, rel, terms):
+    def _slot_atom(self, M, val, rel, terms):
+        """val maps each unordered fresh pair (low, high) to its edge."""
         a, b = terms
         if a == b:
             return False  # irreflexive, and distinct fresh markers differ
         if a >= 0 and b >= 0:
             return M.has_fact(rel, (a, b))
-        return None
+        return val.get((min(a, b), max(a, b))) if val else None
 
     def _complete(self, M, parts, env):
         pairs: set[tuple[int, int]] = set()
@@ -380,18 +328,10 @@ class _GraphTheory(TheoryPlugin):
         order = sorted(pairs)
         for choice in itertools.product((False, True), repeat=len(order)):
             val = dict(zip(order, choice))
-
-            def atom_fn(rel, terms):
-                a, b = terms
-                if a == b:
-                    return False
-                if a >= 0 and b >= 0:
-                    return M.has_fact(rel, (a, b))
-                return val[(min(a, b), max(a, b))]
-
             if not self._edges_ok(M, env, val):
                 continue
-            if all(_eval3(p, env, atom_fn) is True for p in parts):
+            atom = partial(self._slot_atom, M, val)
+            if all(truth(p, env, atom) is True for p in parts):
                 facts = []
                 for (a, b), v in sorted(val.items()):
                     if v:
@@ -454,13 +394,8 @@ class HensonTriangleFreeTheory(_GraphTheory):
         )
 
     def _edges_ok(self, M, env, val) -> bool:
-        def edge(a: int, b: int) -> bool:
-            if a == b:
-                return False
-            if a >= 0 and b >= 0:
-                return M.has_fact("R", (a, b))
-            return val.get((min(a, b), max(a, b)), False)
-
+        # a fresh pair missing from val reads None: no edge
+        edge = partial(self._slot_atom, M, val, "R")
         true_pairs = [p for p, v in val.items() if v]
         if not true_pairs:
             return True
@@ -468,7 +403,7 @@ class HensonTriangleFreeTheory(_GraphTheory):
         vertices = list(M.universe) + markers
         for a, b in true_pairs:
             for w in vertices:
-                if w != a and w != b and edge(a, w) and edge(b, w):
+                if w != a and w != b and edge((a, w)) and edge((b, w)):
                     return False
         return True
 
@@ -512,51 +447,38 @@ class GenericEquivalenceTheory(TheoryPlugin):
         rep = min(members) if members else e
         return ("old", rep)
 
-    def _slot_atom(self, M, rel, terms):
+    def _slot_atom(self, M, val, rel, terms):
+        """val maps each fresh marker to its class label."""
         a, b = terms
         if a == b:
             return True  # reflexive
         if a >= 0 and b >= 0:
             return M.has_fact(rel, (a, b))
-        return None
+        if not val:
+            return None
+        la = self._class_label(M, a) if a >= 0 else val.get(a)
+        lb = self._class_label(M, b) if b >= 0 else val.get(b)
+        if la is None or lb is None:
+            return None
+        return la == lb
 
     def _complete(self, M, parts, env):
         markers = sorted({t for t in env.values() if t < 0}, key=abs)
-        if not markers:
-            def atom_fn(rel, terms):
-                v = self._slot_atom(M, rel, terms)
-                if v is None:
-                    raise OracleError("unresolved atom with no fresh markers")
-                return v
-
-            if all(_eval3(p, env, atom_fn) is True for p in parts):
-                return []
-            return None
-
         mentioned = sorted({t for t in env.values() if t >= 0})
         old_labels = sorted({self._class_label(M, e) for e in mentioned})
         attrs: dict[int, tuple[str, int]] = {}
-
-        def atom_fn(rel, terms):
-            a, b = terms
-            if a == b:
-                return True
-            la = self._class_label(M, a) if a >= 0 else attrs.get(a)
-            lb = self._class_label(M, b) if b >= 0 else attrs.get(b)
-            if la is None or lb is None:
-                return None
-            return la == lb
+        atom = partial(self._slot_atom, M, attrs)
 
         def rec(j: int, new_used: int):
             if j == len(markers):
-                if all(_eval3(p, env, atom_fn) is True for p in parts):
+                if all(truth(p, env, atom) is True for p in parts):
                     return self._equiv_facts(M, markers, attrs)
                 return None
             options: list[tuple[str, int]] = list(old_labels)
             options += [("new", t) for t in range(new_used + 1)]
             for label in options:
                 attrs[markers[j]] = label
-                bad = any(_eval3(p, env, atom_fn) is False for p in parts)
+                bad = any(truth(p, env, atom) is False for p in parts)
                 if not bad:
                     hit = rec(j + 1, max(new_used, label[1] + 1) if label[0] == "new" else new_used)
                     if hit is not None:

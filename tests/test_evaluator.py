@@ -1,6 +1,10 @@
 """Truth evaluation, definable sets, counting, and atomic-type equality."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levelsat.evaluator import (
     DefinableSet,
@@ -11,9 +15,12 @@ from levelsat.evaluator import (
     find_witness,
     qf_type_equal,
     solutions,
+    truth,
 )
-from levelsat.formula import Signature, fin, omega_plus, parse
+from levelsat.formula import Signature, fin, free_vars, omega_plus, parse
 from levelsat.structures import ExtensionDelta, FinStructure, apply_delta
+
+from test_formula import _formulas
 
 SIG = Signature((("E", 2),))
 
@@ -192,3 +199,58 @@ def test_diag_key_separates_equality_patterns():
     M = _graph((), ((0, fin(0)), (1, fin(0))))
     assert diag_key(M, (0, 0)) != diag_key(M, (0, 1))
     assert diag_key(M, (0, 0)) == diag_key(M, (1, 1))
+
+
+# -- the shared walker and search against naive references --------------------------
+
+LEVELS = (fin(0), fin(1), omega_plus(0))
+
+
+@st.composite
+def _structures(draw):
+    """Up to four elements at mixed levels with an arbitrary E relation."""
+    n = draw(st.integers(1, 4))
+    levels = draw(st.lists(st.sampled_from(LEVELS), min_size=n, max_size=n))
+    pairs = list(itertools.product(range(n), repeat=2))
+    facts = draw(st.sets(st.sampled_from(pairs)))
+    return FinStructure(SIG, tuple(enumerate(levels)), tuple(("E", t) for t in sorted(facts)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_structures(), _formulas(), st.data())
+def test_solutions_match_the_product_scan(M, f, data):
+    free = sorted(free_vars(f))
+    order = data.draw(st.permutations(free + ["x9"]))  # x9: a slot f never mentions
+    n_vars = data.draw(st.integers(0, len(order)))
+    xs, rest = tuple(order[:n_vars]), order[n_vars:]
+    params = tuple((v, data.draw(st.sampled_from(M.universe))) for v in rest)
+    cap = data.draw(st.sampled_from((None,) + LEVELS))
+    naive = [
+        t
+        for t in itertools.product(M.v_ids(cap), repeat=len(xs))
+        if evaluate(M, f, dict(params) | dict(zip(xs, t)))
+    ]
+    assert solutions(M, DefinableSet(f, xs, params, cap)) == naive
+
+
+@settings(max_examples=300, deadline=None)
+@given(_structures(), _formulas(), st.data())
+def test_partial_truth_is_kleene_sound(M, f, data):
+    env = {v: data.draw(st.sampled_from(M.universe)) for v in sorted(free_vars(f))}
+    pairs = list(itertools.product(M.universe, repeat=2))
+    open_ = data.draw(st.lists(st.sampled_from(pairs), max_size=4, unique=True))
+
+    def partial_atom(rel, ids):
+        return None if ids in open_ else M.has_fact(rel, ids)
+
+    got = truth(f, env, partial_atom, M.v_ids)
+    if not open_:
+        assert got is evaluate(M, f, env)
+    if got is None:
+        return
+    fixed = [t for t in M.facts("E") if t not in open_]
+    levels = tuple((e, M.level_of(e)) for e in M.universe)
+    for bits in itertools.product((False, True), repeat=len(open_)):
+        chosen = [t for t, b in zip(open_, bits) if b]
+        done = FinStructure(SIG, levels, tuple(("E", t) for t in fixed + chosen))
+        assert evaluate(done, f, env) is got

@@ -233,6 +233,30 @@ def test_oracle_agrees_with_brute_force_sampled_5_6(name):
     assert checked > 50
 
 
+@pytest.mark.parametrize("name", sorted(PLUGINS))
+def test_refusal_does_not_depend_on_allowed_old(name):
+    """extends_with_witness promises that a None result never depends on
+    allowed_old: the narrowest pool, allowed_old=(), must refuse exactly
+    where the whole-universe default refuses."""
+    plugin = get_plugin(name)
+    pool = _formula_pool(plugin)
+    mismatched, checked = [], 0
+    for M in _structures_upto4(plugin) + _random_structures(plugin):
+        for phi, xs, ys in pool:
+            for a_bar in itertools.product(M.universe, repeat=len(xs)):
+                default, narrow = (
+                    plugin.extends_with_witness(
+                        M, phi, a_bar, fin(1), x_vars=xs, y_vars=ys, allowed_old=allowed
+                    )
+                    for allowed in (None, ())
+                )
+                checked += 1
+                if (default is None) != (narrow is None):
+                    mismatched.append(f"{render(phi)} at {a_bar} on |M|={M.size()}")
+    assert checked > 50
+    assert not mismatched, mismatched[:5]
+
+
 def test_asymmetric_and_loopy_fact_sets_fail_validation():
     """The reference enumerates only symmetric loop-free fact sets for the
     graph theories; this pins down that the skipped region is all invalid."""

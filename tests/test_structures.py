@@ -11,7 +11,6 @@ from levelsat.structures import (
     canonical_json,
     delta_from_doc,
     delta_to_doc,
-    v_set,
 )
 
 SIG = Signature((("E", 2),))
@@ -26,19 +25,19 @@ def _pair() -> FinStructure:
 
 def test_singleton_v_set():
     M = FinStructure(SIG, ((0, fin(0)),), ())
-    assert v_set(M, fin(0)) == (0,)
+    assert M.v_ids(fin(0)) == (0,)
 
 
 def test_v_set_level_comparison():
     M = _pair()
-    assert v_set(M, fin(1)) == (0,)
-    assert v_set(M, fin(2)) == (0, 1)
+    assert M.v_ids(fin(1)) == (0,)
+    assert M.v_ids(fin(2)) == (0, 1)
 
 
 def test_v_omega_contains_every_fin_level():
     M = _pair()
     for n in range(5):
-        assert set(v_set(M, fin(n))) <= set(v_set(M, omega_plus(0)))
+        assert set(M.v_ids(fin(n))) <= set(M.v_ids(omega_plus(0)))
 
 
 def test_v_set_monotone():

@@ -121,6 +121,16 @@ def test_allowed_old_restricts_witness_but_not_existence():
     assert pinned.witness[0] not in (0, 1)  # forced to mint a fresh element
 
 
+def test_parameters_stay_witness_candidates_under_allowed_old():
+    # y0 = x0 is witnessed only by the parameter itself
+    M = FinStructure(ESIG, ((0, fin(0)),), (("E", (0, 0)),))
+    phi = parse("y0 = x0", ESIG)
+    for allowed in (None, ()):
+        ext = EQUIV.extends_with_witness(M, phi, (0,), fin(1), allowed_old=allowed)
+        assert ext is not None
+        assert ext.witness == (0,) and ext.delta.is_empty()
+
+
 def test_henson_refuses_common_neighbor_of_edge():
     facts = (("R", (0, 1)), ("R", (1, 0)))
     M = FinStructure(GSIG, ((0, fin(0)), (1, fin(0))), facts)
