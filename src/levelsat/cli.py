@@ -102,6 +102,15 @@ def _parse_cap(raw) -> Optional[LevelOrdinal]:
         raise ConfigError(str(e))
 
 
+def _shaped(value, kind: type, what: str):
+    """A config value of the given shape; null stands for an empty one."""
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise ConfigError(f"{what} must be a {'mapping' if kind is dict else 'list'}")
+    return value
+
+
 def load_config(path: str) -> Config:
     try:
         doc = yaml.safe_load(Path(path).read_text())
@@ -126,7 +135,7 @@ def load_config(path: str) -> Config:
     horizon = doc.get("horizon", 4)
     if not isinstance(horizon, int) or horizon < 1:
         raise ConfigError("horizon must be a positive integer")
-    comp = doc.get("comparator") or {}
+    comp = _shaped(doc.get("comparator"), dict, "comparator")
     window = comp.get("window", 10)
     bound = comp.get("bound", 2.0)
     if not isinstance(window, int) or window < 2:
@@ -143,7 +152,7 @@ def load_config(path: str) -> Config:
             raise ConfigError(f"bad formula {text!r}: {e}")
 
     sets: dict[str, SetSpec] = {}
-    for sname, spec in (doc.get("sets") or {}).items():
+    for sname, spec in _shaped(doc.get("sets"), dict, "sets").items():
         if not isinstance(spec, dict):
             raise ConfigError(f"set {sname!r} must be a mapping")
         f = parse_formula(spec.get("formula"))
@@ -169,7 +178,7 @@ def load_config(path: str) -> Config:
         )
 
     comparisons = []
-    for row in doc.get("comparisons") or []:
+    for row in _shaped(doc.get("comparisons"), list, "comparisons"):
         if not (isinstance(row, list) and len(row) == 2):
             raise ConfigError("each comparison must be a [left, right] pair")
         for side in row:
@@ -178,7 +187,7 @@ def load_config(path: str) -> Config:
         comparisons.append((row[0], row[1]))
 
     dividing = []
-    for i, spec in enumerate(doc.get("dividing") or []):
+    for i, spec in enumerate(_shaped(doc.get("dividing"), list, "dividing")):
         if not isinstance(spec, dict):
             raise ConfigError("each dividing experiment must be a mapping")
         dname = spec.get("name", f"experiment{i}")
@@ -194,8 +203,8 @@ def load_config(path: str) -> Config:
                 dname,
                 parse_formula(spec.get("phi")),
                 psi,
-                tuple(spec.get("a") or []),
-                tuple(spec.get("b") or []),
+                tuple(_shaped(spec.get("a"), list, f"dividing {dname!r}: a")),
+                tuple(_shaped(spec.get("b"), list, f"dividing {dname!r}: b")),
                 k,
                 L,
             )
@@ -290,23 +299,24 @@ def cmd_schedule(cfg: Config, count: Optional[int]) -> int:
     return 0
 
 
-def _load_chain_file(path: str) -> StageChain:
+def _load_chain_file(path: str, plugin: Optional[str] = None) -> StageChain:
+    """Load a chain file; with a plugin name, also insist the chain was
+    built for that plugin."""
     try:
-        return load_chain(Path(path).read_text())
+        chain = load_chain(Path(path).read_text())
     except OSError as e:
         raise ConfigError(f"cannot read chain: {e}")
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad chain file: {e}")
+    if plugin is not None and chain.plugin_name != plugin:
+        raise ConfigError(f"chain was built for {chain.plugin_name!r}, config says {plugin!r}")
+    return chain
 
 
 def cmd_dim(
     cfg: Config, chain: StageChain, window: int, bound: float, out_dir: Path,
     expect: list[str],
 ) -> int:
-    if chain.plugin_name != cfg.plugin:
-        raise ConfigError(
-            f"chain was built for {chain.plugin_name!r}, config says {cfg.plugin!r}"
-        )
     final = chain.final
     report = {"window": window, "bound": bound, "comparisons": []}
     verdicts = []
@@ -354,10 +364,6 @@ def cmd_divide(
     out_dir: Path,
     expect: list[str],
 ) -> int:
-    if chain.plugin_name != cfg.plugin:
-        raise ConfigError(
-            f"chain was built for {chain.plugin_name!r}, config says {cfg.plugin!r}"
-        )
     plugin = get_plugin(cfg.plugin)
     final = chain.final
     report = {"window": window, "bound": bound, "seed": seed, "experiments": []}
@@ -532,7 +538,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_schedule(cfg, args.count)
         if args.command == "dim":
             cfg = load_config(args.config)
-            chain = _load_chain_file(args.chain)
+            chain = _load_chain_file(args.chain, cfg.plugin)
             return cmd_dim(
                 cfg, chain,
                 args.window if args.window is not None else cfg.window,
@@ -541,7 +547,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             )
         if args.command == "divide":
             cfg = load_config(args.config)
-            chain = _load_chain_file(args.chain)
+            chain = _load_chain_file(args.chain, cfg.plugin)
             return cmd_divide(
                 cfg, chain,
                 args.window if args.window is not None else cfg.window,

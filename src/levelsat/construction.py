@@ -25,7 +25,8 @@ elements is permanent and case-3 answers are final.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from .evaluator import diag_key, evaluate, find_witness
@@ -81,23 +82,41 @@ class StageAudit:
 
 @dataclass(frozen=True)
 class StageChain:
-    """stages[i] is M_i; audits[i] describes the work of stage i+1."""
+    """The final structure plus born[j], the stage at which final.universe[j]
+    entered; audits[i] describes the work of stage i+1. M_i is the view
+    stages[i]: final cut down to the elements born by stage i. The view is
+    exact because no delta adds a fact among old elements only, so M_i held
+    every fact among its elements, and because levels are frozen."""
 
     plugin_name: str
     schedule: tuple[ScheduleEntry, ...]
-    stages: tuple[FinStructure, ...]
+    final: FinStructure
+    born: tuple[int, ...]
     audits: tuple[StageAudit, ...]
 
     @property
-    def final(self) -> FinStructure:
-        return self.stages[-1]
-
-    @property
     def n_stages(self) -> int:
-        return len(self.stages) - 1
+        return len(self.audits)
 
-    def with_final(self, M: FinStructure) -> "StageChain":
-        return StageChain(self.plugin_name, self.schedule, self.stages[:-1] + (M,), self.audits)
+    @cached_property
+    def born_at(self) -> dict[int, int]:
+        return dict(zip(self.final.universe, self.born))
+
+    @cached_property
+    def stages(self) -> tuple[FinStructure, ...]:
+        M, born_at = self.final, self.born_at
+        facts = [
+            (max((born_at[e] for e in t), default=0), (rel, t))
+            for rel in M.signature.names() for t in M.facts(rel)
+        ]
+        return tuple(
+            FinStructure(
+                M.signature,
+                tuple((e, M.level_of(e)) for e in M.universe if born_at[e] <= i),
+                tuple(f for b, f in facts if b <= i),
+            )
+            for i in range(self.n_stages)
+        ) + (M,)
 
 
 def build_m0(plugin: TheoryPlugin) -> FinStructure:
@@ -153,29 +172,13 @@ def build_stage(
             if internal is not None:
                 records.append(CaseRecord(a_bar, 1, internal))
                 continue
-            ext = plugin.extends_with_witness(
-                M,
-                entry.formula,
-                a_bar,
-                succ,
-                x_vars=entry.x_vars,
-                y_vars=entry.y_vars,
-                allowed_old=M.v_ids(succ),
-            )
-            if check_oracle:
-                again = plugin.extends_with_witness(
-                    M,
-                    entry.formula,
-                    a_bar,
-                    succ,
-                    x_vars=entry.x_vars,
-                    y_vars=entry.y_vars,
-                    allowed_old=M.v_ids(succ),
+            args = (M, entry.formula, a_bar, succ)
+            kw = dict(x_vars=entry.x_vars, y_vars=entry.y_vars, allowed_old=M.v_ids(succ))
+            ext = plugin.extends_with_witness(*args, **kw)
+            if check_oracle and plugin.extends_with_witness(*args, **kw) != ext:
+                raise InternalFaultError(
+                    f"oracle nondeterminism on {render(entry.formula)} at {a_bar}"
                 )
-                if again != ext:
-                    raise InternalFaultError(
-                        f"oracle nondeterminism on {render(entry.formula)} at {a_bar}"
-                    )
             if ext is None:
                 records.append(CaseRecord(a_bar, 3, None))
                 continue
@@ -212,16 +215,17 @@ def build_chain(
         )
     if len(schedule) < n_stages:
         raise ConstructionError(f"schedule has {len(schedule)} entries, need {n_stages}")
-    stages = [build_m0(plugin)]
+    M = build_m0(plugin)
+    born_at = dict.fromkeys(M.universe, 0)
     audits = []
     frontier: dict = {}
     for n in range(1, n_stages + 1):
-        M, audit = build_stage(
-            plugin, stages[-1], schedule[:n], n, frontier, check_oracle=check_oracle
-        )
-        stages.append(M)
+        M, audit = build_stage(plugin, M, schedule[:n], n, frontier, check_oracle=check_oracle)
+        for e in M.universe:
+            born_at.setdefault(e, n)
         audits.append(audit)
-    return StageChain(plugin.name, tuple(schedule), tuple(stages), tuple(audits))
+    born = tuple(born_at[e] for e in M.universe)
+    return StageChain(plugin.name, tuple(schedule), M, born, tuple(audits))
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +305,8 @@ def verify_axioms_on_levels(
 
 def check_level_freeze(chain: StageChain) -> list[tuple[int, int, str, str]]:
     """Level changes between consecutive stages: (stage, element, before,
-    after). Always empty for chains built here; the check recomputes it from
-    the stage structures rather than trusting the builder."""
+    after). Always empty: every stage view takes its levels from the final
+    structure, which is what makes the view exact."""
     out = []
     for n in range(1, len(chain.stages)):
         prev, cur = chain.stages[n - 1], chain.stages[n]
@@ -323,8 +327,9 @@ def embed_model(
     """Embed the finite structure A into the chain's final stage, the image
     of A's i-th element landing inside V_{fin(i+1)}. Existing elements are
     preferred; otherwise the final stage is extended by one oracle witness
-    carrying the full atomic diagram. Returns (mapping, chain with the final
-    stage possibly extended), or None when the theory refuses some step."""
+    carrying the full atomic diagram, its new elements born at the last
+    stage. Returns (mapping, chain with the final stage possibly extended),
+    or None when the theory refuses some step."""
     if A.signature != plugin.signature:
         raise ConstructionError("signature mismatch")
     M = chain.final
@@ -368,7 +373,8 @@ def embed_model(
         want = diag_key(A, tuple(sources[: i + 1]))
         if got != want:
             raise InternalFaultError("embedding image has the wrong atomic diagram")
-    return mapping, chain.with_final(M)
+    born = tuple(chain.born_at.get(e, chain.n_stages) for e in M.universe)
+    return mapping, replace(chain, final=M, born=born)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +394,8 @@ def chain_to_doc(chain: StageChain) -> dict:
             }
             for e in chain.schedule
         ],
-        "stages": [s.to_doc() for s in chain.stages],
+        "final": chain.final.to_doc(),
+        "born": list(chain.born),
         "audits": [
             {
                 "stage": a.stage,
@@ -421,8 +428,18 @@ def serialize_chain(chain: StageChain) -> str:
 
 
 def chain_from_doc(doc: dict) -> StageChain:
-    stages = tuple(FinStructure.from_doc(d) for d in doc["stages"])
-    sig = stages[0].signature
+    if not isinstance(doc, dict):
+        raise ConstructionError("a chain must be a JSON object")
+    missing = {"plugin", "schedule", "final", "born", "audits"} - doc.keys()
+    if missing:
+        raise ConstructionError(f"missing keys {sorted(missing)}")
+    final = FinStructure.from_doc(doc["final"])
+    born, n = doc["born"], len(doc["audits"])
+    if not isinstance(born, list) or len(born) != final.size():
+        raise ConstructionError(f"need one birth stage per element, {final.size()} in all")
+    if not all(type(b) is int and 0 <= b <= n for b in born):
+        raise ConstructionError(f"birth stages must be integers in [0, {n}]")
+    sig = final.signature
     schedule = tuple(
         ScheduleEntry(
             parse(d["formula"], sig),
@@ -457,7 +474,7 @@ def chain_from_doc(doc: dict) -> StageChain:
         )
         for a in doc["audits"]
     )
-    return StageChain(doc["plugin"], schedule, stages, audits)
+    return StageChain(doc["plugin"], schedule, final, tuple(born), audits)
 
 
 def load_chain(text: str) -> StageChain:

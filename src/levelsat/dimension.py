@@ -54,16 +54,12 @@ class DimTrend:
 
 def trend(chain, dset: DefinableSet, label: Optional[str] = None) -> DimTrend:
     """Per-stage counts, starting at the first stage where every parameter
-    id exists. Counts never decrease along a chain: stages only grow."""
+    id exists: the latest birth stage among them. Counts never decrease
+    along a chain: stages only grow."""
     needed = [eid for _, eid in dset.params]
-    start = None
-    for n, M in enumerate(chain.stages):
-        uni = set(M.universe)
-        if all(e in uni for e in needed):
-            start = n
-            break
-    if start is None:
+    if not all(e in chain.born_at for e in needed):
         raise ValueError("trend parameters never appear in the chain")
+    start = max((chain.born_at[e] for e in needed), default=0)
     counts = tuple(len(solutions(M, dset)) for M in chain.stages[start:])
     if label is None:
         label = render(dset.formula)

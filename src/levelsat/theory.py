@@ -99,10 +99,6 @@ class TheoryPlugin(abc.ABC):
 
     # -- axioms --------------------------------------------------------------
 
-    @property
-    def witness_bound(self) -> int:
-        return max((len(ax.y_vars) for ax in self.ae_axioms), default=0)
-
     def seeds(self) -> tuple[tuple[Formula, tuple[str, ...], tuple[str, ...]], ...]:
         return tuple((ax.formula, ax.x_vars, ax.y_vars) for ax in self.ae_axioms)
 

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -180,6 +181,53 @@ def test_missing_chain_file(tmp_path):
     assert "cannot read chain" in proc.stderr
 
 
+def _old_format(doc):
+    doc["stages"] = [doc.pop("final")]
+    del doc["born"]
+    return doc
+
+
+def _set_born(i, value):
+    def edit(doc):
+        doc["born"][i] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda doc: [1, 2],
+        lambda doc: "chain",
+        _old_format,
+        lambda doc: {**_old_format(doc), "stages": []},
+        lambda doc: {**doc, "born": doc["born"][:-1]},
+        lambda doc: {**doc, "born": doc["born"] + [0]},
+        lambda doc: {**doc, "born": 0},
+        _set_born(-1, 31),
+        _set_born(0, -1),
+        _set_born(0, "0"),
+        _set_born(0, 1.0),
+        _set_born(0, True),
+        _set_born(0, None),
+    ],
+    ids=[
+        "list", "string", "old-format", "old-format-no-stages", "born-short",
+        "born-long", "born-not-list", "born-past-n", "born-negative",
+        "born-text", "born-float", "born-bool", "born-null",
+    ],
+)
+def test_malformed_chain_file_is_a_usage_error(equiv_build, tmp_path, corrupt):
+    out, _ = equiv_build
+    doc = json.loads((out / "generic_equivalence.chain.json").read_text())
+    bad = tmp_path / "bad.chain.json"
+    bad.write_text(json.dumps(corrupt(doc)))
+    proc = run_cli("export", "--chain", bad, "--out-dir", tmp_path)
+    assert proc.returncode == 2
+    assert "bad chain file: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_chain_plugin_mismatch(equiv_build, tmp_path):
     out, _ = equiv_build
     proc = run_cli(
@@ -190,6 +238,33 @@ def test_chain_plugin_mismatch(equiv_build, tmp_path):
     )
     assert proc.returncode == 2
     assert "was built for" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("comparator", [1, 2]),
+        ("sets", ["a", "b"]),
+        ("comparisons", 5),
+        ("comparisons", {"class_of_b": "ambient"}),
+        ("dividing", 5),
+        ("dividing", {"name": "class_drop"}),
+        ("a", 5),
+        ("b", "first_at_level fin1"),
+    ],
+)
+def test_malformed_config_shape_is_a_usage_error(tmp_path, key, value):
+    doc = yaml.safe_load((CONFIGS / "equivalence_drop.yaml").read_text())
+    if key in ("a", "b"):
+        doc["dividing"][0][key] = value
+    else:
+        doc[key] = value
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    proc = run_cli("schedule", "--config", cfg, "--count", 1)
+    assert proc.returncode == 2
+    assert f"{key} must be a" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_unknown_expect_token(equiv_build, tmp_path):

@@ -19,7 +19,14 @@ from levelsat.construction import (
     verify_axioms_on_levels,
 )
 from levelsat.evaluator import diag_key, evaluate
-from levelsat.formula import ScheduleEntry, Signature, fin, omega_plus, parse
+from levelsat.formula import (
+    ScheduleEntry,
+    Signature,
+    fin,
+    omega_plus,
+    parse,
+    seeded_schedule,
+)
 from levelsat.structures import FinStructure
 from levelsat.theory import PLUGINS, RandomGraphTheory, get_plugin
 
@@ -268,6 +275,40 @@ def test_chain_serialization_round_trip(chains12):
     assert back.audits == chain.audits
     assert [e.key() for e in back.schedule] == [e.key() for e in chain.schedule]
     assert serialize_chain(back) == text
+
+
+@pytest.mark.parametrize("name", sorted(PLUGINS))
+def test_stage_view_matches_stage_by_stage_build(chains12, name):
+    """The stages view equals the structures a build_stage loop keeps, the
+    birth stamps survive a file round trip, and an embedding leaves stages
+    0..n-1 alone while its new elements are born at stage n."""
+    plugin, chain = get_plugin(name), chains12[name]
+    schedule = tuple(seeded_schedule(plugin.signature, plugin.seeds(), 12, 4))
+    kept, frontier = [build_m0(plugin)], {}
+    for n in range(1, 13):
+        M, _ = build_stage(plugin, kept[-1], schedule[:n], n, frontier)
+        kept.append(M)
+    assert list(chain.stages) == kept
+    assert load_chain(serialize_chain(chain)).born == chain.born
+
+    # one more element than the chain has forces the embedding to grow it
+    m, M0 = chain.final.size() + 1, kept[0]
+    A = FinStructure(
+        plugin.signature,
+        tuple((i, fin(0)) for i in range(m)),
+        tuple(
+            (rel, (i,) * len(t))
+            for rel in plugin.signature.names()
+            for t in M0.facts(rel)
+            for i in range(m)
+        ),
+    )
+    _, grown = embed_model(plugin, A, chain)
+    new = set(grown.final.universe) - set(chain.final.universe)
+    assert new and {grown.born_at[e] for e in new} == {12}
+    assert grown.stages[:12] == chain.stages[:12]
+    assert grown.stages[12] == grown.final
+    assert load_chain(serialize_chain(grown)).born == grown.born
 
 
 def test_build_chain_deterministic():
