@@ -304,16 +304,24 @@ def verify_axioms_on_levels(
 
 
 def check_level_freeze(chain: StageChain) -> list[tuple[int, int, str, str]]:
-    """Level changes between consecutive stages: (stage, element, before,
-    after). Always empty: every stage view takes its levels from the final
-    structure, which is what makes the view exact."""
+    """Elements a case-2 record created that the chain does not hold at the
+    record's successor level and stage: (stage, element, expected, actual),
+    each side rendered as "<level> at stage <s>". Empty for a chain as
+    build_chain makes it, since a new element enters at alpha+1 and levels
+    never move afterwards."""
     out = []
-    for n in range(1, len(chain.stages)):
-        prev, cur = chain.stages[n - 1], chain.stages[n]
-        for e in prev.universe:
-            a, b = prev.level_of(e), cur.level_of(e)
-            if a != b:
-                out.append((n, e, a.render(), b.render()))
+    M, born_at = chain.final, chain.born_at
+    for audit in chain.audits:
+        for ea in audit.entries:
+            expected = f"{ea.level.successor().render()} at stage {audit.stage}"
+            for rec in ea.records:
+                for e in rec.new_ids:
+                    actual = (
+                        f"{M.level_of(e).render()} at stage {born_at[e]}"
+                        if e in M else "absent"
+                    )
+                    if actual != expected:
+                        out.append((audit.stage, e, expected, actual))
     return out
 
 

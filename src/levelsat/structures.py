@@ -77,6 +77,9 @@ class FinStructure:
 
     # -- queries ------------------------------------------------------------
 
+    def __contains__(self, eid: object) -> bool:
+        return eid in self._level
+
     def level_of(self, eid: int) -> LevelOrdinal:
         return self._level[eid]
 

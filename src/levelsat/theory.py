@@ -90,7 +90,19 @@ def _markers(env: dict[str, int]) -> int:
 
 
 class TheoryPlugin(abc.ABC):
-    """Shared oracle machinery; concrete theories fill in the two hooks."""
+    """Shared oracle machinery; concrete theories fill in the two hooks.
+
+    Replacement contract, which every plugin must meet: if a
+    quantifier-free constraint is realizable over M, it stays realizable
+    when each old witness component that no parameter names is swapped for
+    a fresh element carrying the same atoms with the parameters and the
+    other components. So the old ids worth trying are the parameters, and
+    fresh markers cover the rest. The bundled theories meet it: a fresh
+    graph point takes only the edges the atoms need, and fewer edges never
+    close a triangle; an equivalence class no parameter lies in acts like a
+    new class; the bare set has no relations. extends_with_witness and
+    jointly_realizable rely on it.
+    """
 
     name: str = ""
     signature: Signature = Signature(())
@@ -134,9 +146,8 @@ class TheoryPlugin(abc.ABC):
         Old elements used as witness components are drawn from allowed_old
         plus the parameters a_tuple when allowed_old is given (default: the
         whole universe); new elements enter at level_for_new. A None result
-        never depends on allowed_old: if phi is realizable at all, it is
-        realizable with every old component outside a_tuple replaced by a
-        fresh one, so the restriction only shapes which witness comes back,
+        never depends on allowed_old, by the replacement contract (class
+        docstring): the restriction only shapes which witness comes back,
         not whether one exists.
         """
         if x_vars is None or y_vars is None:
@@ -147,9 +158,8 @@ class TheoryPlugin(abc.ABC):
             raise OracleError("oracle constraints must be quantifier-free")
         if len(x_vars) != len(a_tuple):
             raise OracleError(f"need {len(x_vars)} parameters, got {len(a_tuple)}")
-        uni = set(M.universe)
         for e in a_tuple:
-            if e not in uni:
+            if e not in M:
                 raise OracleError(f"parameter {e} not in the universe")
         leftover = free_vars(phi) - set(x_vars) - set(y_vars)
         if leftover:
@@ -159,7 +169,7 @@ class TheoryPlugin(abc.ABC):
         else:
             pool = tuple(sorted(set(allowed_old) | set(a_tuple)))
             for e in pool:
-                if e not in uni:
+                if e not in M:
                     raise OracleError(f"allowed_old id {e} not in the universe")
         kmax = len(y_vars) if max_new is None else min(max_new, len(y_vars))
         env0 = dict(zip(x_vars, a_tuple))
@@ -185,8 +195,10 @@ class TheoryPlugin(abc.ABC):
     ) -> bool:
         """Whether one assignment of x_vars (into M or a one-step extension
         inside the theory) satisfies every constraint at once. Constraint
-        parameter variables are private per constraint; x_vars are shared."""
-        uni = set(M.universe)
+        parameter variables are private per constraint; x_vars are shared.
+        By the replacement contract (class docstring) the search tries only
+        the parameter ids plus fresh markers as values, never the elements
+        no constraint mentions."""
         parts: list[Formula] = []
         env: dict[str, int] = {}
         for i, (phi, params) in enumerate(constraints):
@@ -199,7 +211,7 @@ class TheoryPlugin(abc.ABC):
                     raise OracleError(f"parameter {v!r} collides with a shared variable")
                 if v not in others:
                     raise OracleError(f"parameter {v!r} is not free in constraint {i}")
-                if eid not in uni:
+                if eid not in M:
                     raise OracleError(f"parameter id {eid} not in the universe")
                 env[mapping[v]] = eid
             missing = {mapping[v] for v in others} - set(env)
@@ -208,8 +220,8 @@ class TheoryPlugin(abc.ABC):
             parts.append(rename_vars(phi, mapping))
         if not parts:
             return True
-        big = conjoin(parts)
-        return self._search(M, big, env, tuple(x_vars), M.universe, len(x_vars)) is not None
+        pool = tuple(sorted(set(env.values())))
+        return self._search(M, conjoin(parts), env, tuple(x_vars), pool, len(x_vars)) is not None
 
     # -- the pattern search ------------------------------------------------------
 
@@ -232,13 +244,15 @@ class TheoryPlugin(abc.ABC):
 
             def candidates(i: int, env: dict[str, int]) -> tuple[int, ...]:
                 used = _markers(env)
-                if k - used > len(y_vars) - i:
+                need, left = k - used, len(y_vars) - i
+                if need > left:
                     return ()  # cannot introduce the remaining markers
+                if need == left:
+                    return (-(used + 1),)  # every slot left must be a new marker
                 return pool + tuple(-(j + 1) for j in range(min(used + 1, k)))
 
+            # the pruning above makes every leaf use exactly k markers
             for env in backtrack(phi, env0, y_vars, candidates, atom):
-                if _markers(env) < k:
-                    continue  # explored already at a smaller k
                 facts = self._complete(M, parts, env)
                 if facts is not None:
                     return facts, dict(env)

@@ -2,6 +2,7 @@
 serialization, and finite model embedding."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -207,6 +208,39 @@ def test_level_sets_frozen_while_their_level_processes(chains12):
 def test_no_level_ever_changes(chains12):
     for chain in chains12.values():
         assert check_level_freeze(chain) == []
+
+
+def _first_new_element(chain):
+    """(stage, entry level, id) of the first element a case-2 record made."""
+    for audit in chain.audits:
+        for ea in audit.entries:
+            for rec in ea.records:
+                if rec.new_ids:
+                    return audit.stage, ea.level, rec.new_ids[0]
+    raise AssertionError("no case-2 record in the chain")
+
+
+def test_level_freeze_catches_a_moved_level(chains12):
+    chain = chains12["generic_equivalence"]
+    stage, alpha, e = _first_new_element(chain)
+    doc = chain.final.to_doc()
+    doc["elements"] = [
+        [eid, "omega+9" if eid == e else lvl] for eid, lvl in doc["elements"]
+    ]
+    moved = replace(chain, final=FinStructure.from_doc(doc))
+    want = f"{alpha.successor().render()} at stage {stage}"
+    assert check_level_freeze(moved) == [(stage, e, want, f"omega+9 at stage {stage}")]
+
+
+def test_level_freeze_catches_a_wrong_birth_stamp(chains12):
+    chain = chains12["random_graph"]
+    stage, alpha, e = _first_new_element(chain)
+    j = chain.final.universe.index(e)
+    born = chain.born[:j] + (stage + 1,) + chain.born[j + 1 :]
+    level = alpha.successor().render()
+    assert check_level_freeze(replace(chain, born=born)) == [
+        (stage, e, f"{level} at stage {stage}", f"{level} at stage {stage + 1}")
+    ]
 
 
 def test_early_strong_satisfaction_spot_check():

@@ -29,7 +29,7 @@ from levelsat.formula import (
 from levelsat.structures import FinStructure, apply_delta
 from levelsat.theory import PLUGINS, get_plugin
 
-from oracle_reference import brute_force_min_new
+from oracle_reference import brute_force_jointly, brute_force_min_new
 
 MAX_Y = 2
 MAX_X = 2
@@ -254,6 +254,45 @@ def test_refusal_does_not_depend_on_allowed_old(name):
                 if (default is None) != (narrow is None):
                     mismatched.append(f"{render(phi)} at {a_bar} on |M|={M.size()}")
     assert checked > 50
+    assert not mismatched, mismatched[:5]
+
+
+def _families(M, pool, rng):
+    """Constraint families of 2 and 3 pool formulas, each with its x
+    variables bound to a tuple of M, and the union of their y variables,
+    which the family shares. Per pool formula: one family of instances of
+    that formula alone and one that mixes in random pool formulas."""
+    for entry in pool:
+        for size in (2, 3):
+            for members in ([entry] * size, [entry] + rng.sample(pool, size - 1)):
+                shared = tuple(sorted({y for _, _, ys in members for y in ys}))
+                cons = [
+                    (f, {x: rng.choice(M.universe) for x in xs}) for f, xs, _ in members
+                ]
+                yield shared, cons
+
+
+@pytest.mark.parametrize("name", sorted(PLUGINS))
+def test_joint_realizability_agrees_with_brute_force(name):
+    """jointly_realizable tries only the parameter ids and fresh markers;
+    the reference tries every element of M. They must agree on families of
+    constraints sharing their y variables."""
+    plugin = get_plugin(name)
+    pool = _formula_pool(plugin)
+    rng = random.Random(11)
+    seen, mismatched = set(), []
+    for M in _structures_upto4(plugin) + _random_structures(plugin):
+        for shared, cons in _families(M, pool, rng):
+            if M.size() > 3 and len(shared) > 1:
+                continue  # keeps the fact-set enumeration within budget
+            got = plugin.jointly_realizable(M, shared, cons)
+            want = brute_force_jointly(plugin, M, shared, cons, max_new=len(shared))
+            seen.add(want)
+            if got != want:
+                mismatched.append(
+                    f"{[(render(f), p) for f, p in cons]} on |M|={M.size()}: {got}"
+                )
+    assert seen == {True, False}
     assert not mismatched, mismatched[:5]
 
 

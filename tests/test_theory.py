@@ -5,7 +5,7 @@ import pytest
 from levelsat.evaluator import evaluate
 from levelsat.formula import Signature, fin, parse
 from levelsat.structures import FinStructure, apply_delta
-from levelsat.theory import PLUGINS, OracleError, get_plugin
+from levelsat.theory import PLUGINS, OracleError, RandomGraphTheory, get_plugin
 
 RADO = get_plugin("random_graph")
 EQUIV = get_plugin("generic_equivalence")
@@ -214,6 +214,58 @@ def test_common_neighbor_jointly_realizable():
 def test_empty_constraint_list_realizable():
     M = FinStructure(GSIG, ((0, fin(0)),), ())
     assert RADO.jointly_realizable(M, ("x0",), [])
+
+
+def test_joint_input_errors():
+    M = FinStructure(GSIG, ((0, fin(0)), (1, fin(0))), ())
+    f = parse("R(x0, p0)", GSIG)
+    for params in ({"x0": 0}, {}, {"p0": 7}):  # collision, unbound, outside M
+        with pytest.raises(OracleError):
+            RADO.jointly_realizable(M, ("x0",), [(f, params)])
+
+
+# -- oracle work as the universe grows -------------------------------------------------
+
+
+def _counting_rado():
+    """A random-graph plugin that counts its _slot_atom calls."""
+    plugin, calls = RandomGraphTheory(), [0]
+    atom = plugin._slot_atom
+
+    def counted(*args):
+        calls[0] += 1
+        return atom(*args)
+
+    plugin._slot_atom = counted
+    return plugin, calls
+
+
+def _edgeless(n):
+    return FinStructure(GSIG, tuple((e, fin(0)) for e in range(n)), ())
+
+
+def test_joint_query_work_does_not_grow_with_the_universe():
+    """Two old points with no common neighbour: the query needs a fresh
+    one, and no other old element can help, so none is tried."""
+    f = parse("R(x0, p0)", GSIG)
+    counts = []
+    for n in (20, 200):
+        plugin, calls = _counting_rado()
+        assert plugin.jointly_realizable(
+            _edgeless(n), ("x0",), [(f, {"p0": 0}), (f, {"p0": 1})]
+        )
+        counts.append(calls[0])
+    assert counts[0] == counts[1]
+
+
+def test_one_witness_extension_scans_the_universe_once():
+    """The k=0 pass tries every old element once; the k=1 pass has a
+    single slot, which must be the new marker."""
+    n = 200
+    plugin, calls = _counting_rado()
+    ext = plugin.extends_with_witness(_edgeless(n), parse("R(x0, y0)", GSIG), (0,), fin(1))
+    assert ext is not None and ext.witness == (n,)
+    assert calls[0] <= n + 10
 
 
 # -- oracle soundness ---------------------------------------------------------------
