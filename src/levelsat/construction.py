@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, Optional
 
 from .evaluator import diag_key, evaluate, find_witness
 from .formula import (
@@ -84,9 +84,10 @@ class StageAudit:
 class StageChain:
     """The final structure plus born[j], the stage at which final.universe[j]
     entered; audits[i] describes the work of stage i+1. M_i is the view
-    stages[i]: final cut down to the elements born by stage i. The view is
-    exact because no delta adds a fact among old elements only, so M_i held
-    every fact among its elements, and because levels are frozen."""
+    stages[i]: the substructure of final induced on the elements born by
+    stage i, sharing final's neighbour index. The view is exact because no
+    delta adds a fact among old elements only, so M_i held every fact among
+    its elements, and because levels are frozen."""
 
     plugin_name: str
     schedule: tuple[ScheduleEntry, ...]
@@ -105,17 +106,8 @@ class StageChain:
     @cached_property
     def stages(self) -> tuple[FinStructure, ...]:
         M, born_at = self.final, self.born_at
-        facts = [
-            (max((born_at[e] for e in t), default=0), (rel, t))
-            for rel in M.signature.names() for t in M.facts(rel)
-        ]
         return tuple(
-            FinStructure(
-                M.signature,
-                tuple((e, M.level_of(e)) for e in M.universe if born_at[e] <= i),
-                tuple(f for b, f in facts if b <= i),
-            )
-            for i in range(self.n_stages)
+            M.restrict(e for e in M.universe if born_at[e] <= i) for i in range(self.n_stages)
         ) + (M,)
 
 
@@ -161,12 +153,15 @@ def build_stage(
         succ = alpha.successor()
         v_now = M.v_ids(alpha)
         covered = frontier.get(key, frozenset())
+        k = len(entry.x_vars)
+        if covered:
+            # the tuples over covered elements only were done at an earlier stage
+            skipped = sum(e in covered for e in v_now) ** k
+            todo = _touching(v_now, covered, k)
+        else:
+            skipped, todo = 0, itertools.product(v_now, repeat=k)
         records = []
-        skipped = 0
-        for a_bar in itertools.product(v_now, repeat=len(entry.x_vars)):
-            if covered and all(e in covered for e in a_bar):
-                skipped += 1
-                continue
+        for a_bar in todo:
             env = dict(zip(entry.x_vars, a_bar))
             internal = find_witness(M, entry.formula, env, entry.y_vars, succ)
             if internal is not None:
@@ -195,6 +190,24 @@ def build_stage(
         frontier[key] = covered | set(v_now)
         audits.append(EntryAudit(entry.position, alpha, v_now, skipped, tuple(records)))
     return M, StageAudit(stage, tuple(audits))
+
+
+def _touching(ids: tuple[int, ...], covered: frozenset[int], k: int) -> Iterable[tuple[int, ...]]:
+    """The k-tuples over ids with a component outside covered, in the
+    lexicographic order of itertools.product(ids, repeat=k), without
+    stepping through the tuples over covered elements only."""
+    fresh = [(e,) for e in ids if e not in covered]
+
+    def rec(k: int) -> Iterable[tuple[int, ...]]:
+        if k == 1:
+            return fresh
+        return (
+            (e,) + tail
+            for e in ids
+            for tail in (rec(k - 1) if e in covered else itertools.product(ids, repeat=k - 1))
+        )
+
+    return rec(k) if k else ()
 
 
 def build_chain(

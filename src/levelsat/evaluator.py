@@ -6,7 +6,17 @@ function that may leave atoms undecided; evaluate() is its two-valued use on
 a structure. backtrack() assigns variables left to right from candidates the
 caller supplies and prunes a branch as soon as a top-level conjunct is
 False; find_witness, solutions and the theory oracle's pattern search
-(theory.TheoryPlugin._search) all run on it.
+(theory.TheoryPlugin._search) all run on it. Where each conjunct is checked
+is worked out once per formula and variable order and cached.
+
+find_witness and solutions take a slot's candidates from the structure's
+neighbour index when a positive binary atom that is itself a top-level
+conjunct, R(v, y) or R(y, v), ties the slot y to a variable v bound before
+it: the slot then ranges over the neighbours of v, intersected over every
+such atom, cut to V_cap and ascending. Every value this drops fails that
+conjunct, and the rest keep V_cap's order, so the hits and their order are
+those of the plain scan. Atoms under Not or Or, R(y, y), and atoms whose
+other variable is assigned later narrow nothing.
 
 A DefinableSet packages a formula with its solution variables, parameter
 bindings, and an optional level cap. Solutions are tuples over V_cap,
@@ -106,6 +116,51 @@ def evaluate(structure: FinStructure, formula: Formula, env: dict[str, int]) -> 
         raise EvalError(f"unbound variable {e.args[0]!r}") from None
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """How backtrack searches a formula for one variable order. due[i]
+    holds the top-level conjuncts checked once order[i-1] has a value
+    (due[0]: those env alone binds); outside holds the free variables env
+    must bind; ties[i] lists (rel, pos, v) for each top-level atom with v at
+    position pos and order[i] at the other, v bound before order[i]."""
+
+    due: tuple[tuple[Formula, ...], ...]
+    outside: frozenset[str]
+    ties: tuple[tuple[tuple[str, int, str], ...], ...]
+
+
+# Keyed by the formula's identity, and holding the formula so that the id
+# stays its own: callers pass the same few formula objects thousands of times,
+# and hashing a formula walks all of it. Cleared when full.
+_PLANS: dict[tuple[int, tuple[str, ...]], tuple[Formula, _Plan]] = {}
+_PLANS_MAX = 256
+
+
+def _plan(formula: Formula, order: tuple[str, ...]) -> _Plan:
+    key = (id(formula), tuple(order))
+    hit = _PLANS.get(key)
+    if hit is not None and hit[0] is formula:
+        return hit[1]
+    depth = {v: i + 1 for i, v in enumerate(order)}
+    due: list[list[Formula]] = [[] for _ in range(len(order) + 1)]
+    ties: list[list[tuple[str, int, str]]] = [[] for _ in order]
+    outside: set[str] = set()
+    for part in conjuncts(formula):
+        fv = free_vars(part)
+        outside |= fv - depth.keys()
+        due[max((depth[v] for v in fv if v in depth), default=0)].append(part)
+        if isinstance(part, RelAtom) and len(part.args) == 2:
+            for pos, v in enumerate(part.args):
+                y = part.args[1 - pos]
+                if y in depth and depth.get(v, 0) < depth[y]:
+                    ties[depth[y] - 1].append((part.rel, pos, v))
+    plan = _Plan(tuple(map(tuple, due)), frozenset(outside), tuple(map(tuple, ties)))
+    if len(_PLANS) >= _PLANS_MAX:
+        _PLANS.clear()
+    _PLANS[key] = (formula, plan)
+    return plan
+
+
 def backtrack(
     formula: Formula,
     env: dict[str, int],
@@ -118,52 +173,74 @@ def backtrack(
     which no top-level conjunct of formula is False, in candidate order.
     order[i] takes its values from candidates(i, env), called with exactly
     env and order[:i] assigned. Each conjunct is checked at the depth where
-    its last free variable gets a value, worked out once before the search;
-    a conjunct bound by env alone is checked first. The yielded dict is
-    reused: copy what you keep before asking for the next one. Raises
-    EvalError if a free variable is neither in env nor in order."""
+    its last free variable gets a value (the cached plan); a conjunct bound
+    by env alone is checked first. The yielded dict is reused: copy what you
+    keep before asking for the next one. Raises EvalError if a free variable
+    is neither in env nor in order."""
+    plan = _plan(formula, order)
+    unbound = plan.outside - env.keys()
+    if unbound:
+        raise EvalError(f"unbound variables {sorted(unbound)}")
     env = dict(env)
-    depth = {v: i + 1 for i, v in enumerate(order)}
-    due: list[list[Formula]] = [[] for _ in range(len(order) + 1)]
-    for part in conjuncts(formula):
-        fv = free_vars(part)
-        unbound = fv - env.keys() - depth.keys()
-        if unbound:
-            raise EvalError(f"unbound variables {sorted(unbound)}")
-        due[max((depth[v] for v in fv if v in depth), default=0)].append(part)
-
-    def rec(i: int) -> Iterator[dict[str, int]]:
-        var, parts, last = order[i], due[i + 1], i + 1 == len(order)
-        for e in candidates(i, env):
-            env[var] = e
-            for part in parts:
-                if truth(part, env, atom, domain) is False:
-                    break
-            else:
-                # the leaf yields in place: one generator per level, not per hit
-                if last:
-                    yield env
-                else:
-                    yield from rec(i + 1)
-        env.pop(var, None)
-
-    if any(truth(part, env, atom, domain) is False for part in due[0]):
+    if any(truth(part, env, atom, domain) is False for part in plan.due[0]):
         return
     if order:
-        yield from rec(0)
+        yield from _descend(0, env, order, plan.due, candidates, atom, domain)
     else:
         yield env
+
+
+def _descend(i, env, order, due, candidates, atom, domain) -> Iterator[dict[str, int]]:
+    """backtrack from slot i on. A module-level function, not a closure: a
+    closure that calls itself is a reference cycle, which would keep the
+    structure behind atom alive until the next cyclic collection."""
+    var, parts, last = order[i], due[i + 1], i + 1 == len(order)
+    for e in candidates(i, env):
+        env[var] = e
+        for part in parts:
+            if truth(part, env, atom, domain) is False:
+                break
+        else:
+            # the leaf yields in place: one generator per level, not per hit
+            if last:
+                yield env
+            else:
+                yield from _descend(i + 1, env, order, due, candidates, atom, domain)
+    env.pop(var, None)
+
+
+def _indexed(
+    structure: FinStructure, formula: Formula, order: tuple[str, ...], cap: Optional[LevelOrdinal]
+) -> Callable[[int, dict[str, int]], Iterable[int]]:
+    """backtrack candidates over V_cap, narrowed by the neighbour index where
+    the plan ties a slot to bound variables (module docstring)."""
+    ids = structure.v_ids(cap)
+    ties = _plan(formula, order).ties
+
+    def candidates(i: int, env: dict[str, int]) -> Iterable[int]:
+        if not ties[i]:
+            return ids
+        sets = sorted((structure.neighbours(rel, pos, env[v]) for rel, pos, v in ties[i]), key=len)
+        if len(sets[0]) >= len(ids):
+            return [e for e in ids if all(e in s for s in sets)]
+        hits = [e for e in sets[0] if all(e in s for s in sets[1:])]
+        if cap is not None:
+            hits = [e for e in hits if structure.level_of(e) <= cap]
+        hits.sort()
+        return hits
+
+    return candidates
 
 
 def solutions(structure: FinStructure, dset: DefinableSet) -> list[tuple[int, ...]]:
     """All solution tuples, lexicographic in ids. Unbound leftover variables
     raise EvalError."""
-    ids = structure.v_ids(dset.cap)
+    f, order = dset.formula, dset.vars
     hits = backtrack(
-        dset.formula, dset.env(), dset.vars, lambda *_: ids,
+        f, dset.env(), order, _indexed(structure, f, order, dset.cap),
         structure.has_fact, structure.v_ids,
     )
-    return [tuple(env[v] for v in dset.vars) for env in hits]
+    return [tuple(env[v] for v in order) for env in hits]
 
 
 def count(structure: FinStructure, dset: DefinableSet) -> int:
@@ -179,9 +256,9 @@ def find_witness(
 ) -> Optional[tuple[int, ...]]:
     """First tuple over V_cap (lexicographic) satisfying formula, or None:
     the first of solutions() of the capped set, without computing the rest."""
-    ids = structure.v_ids(cap)
     hits = backtrack(
-        formula, env, witness_vars, lambda *_: ids, structure.has_fact, structure.v_ids
+        formula, env, witness_vars, _indexed(structure, formula, witness_vars, cap),
+        structure.has_fact, structure.v_ids,
     )
     for hit in hits:
         return tuple(hit[v] for v in witness_vars)

@@ -1,18 +1,33 @@
 """Finite relational structures with level assignments, and one-step deltas.
 
 A FinStructure never changes in place. Growth happens by building an
-ExtensionDelta and calling apply_delta, which validates and returns a new
-structure. Serialization is canonical JSON: byte-identical output for equal
-structures, exact round trips.
+ExtensionDelta and calling apply_delta, which validates only the delta and
+builds the child from its parent: the child's universe, level map, cached
+V_alpha tuples and fact sets are the parent's extended by the delta, and its
+neighbour index shares every neighbour set the delta leaves alone. The
+parent is not changed. Serialization is canonical JSON: byte-identical
+output for equal structures, exact round trips.
+
+Every binary relation carries a neighbour index: for an argument position
+and an id, the ids at the other position (neighbours). restrict() gives the
+substructure induced on a set of ids. It keeps no index of its own but
+shares its source's, filtered to its own elements on lookup; that is exact
+because an induced substructure holds every fact among its elements.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .formula import LevelOrdinal, Signature, parse_level
+
+# index[rel][pos][eid]: the ids at position 1 - pos of the rel facts with eid
+# at position pos; empty sides for relations that are not binary
+Index = dict[str, tuple[dict[int, frozenset[int]], dict[int, frozenset[int]]]]
+
+_NONE: frozenset[int] = frozenset()
 
 
 class StructureError(ValueError):
@@ -35,11 +50,49 @@ class ExtensionDelta:
         return not self.new_elements and not self.new_facts
 
 
+def _check_id(eid: object) -> None:
+    if type(eid) is not int or eid < 0:
+        raise StructureError(f"element ids must be nonnegative ints, got {eid!r}")
+
+
+def _grow(sides, tups) -> tuple[dict[int, frozenset[int]], dict[int, frozenset[int]]]:
+    """Both index sides of a binary relation extended by the facts tups. Only
+    the ids the facts touch get new neighbour sets; the rest are shared."""
+    out = []
+    for pos, side in enumerate(sides):
+        add: dict[int, set[int]] = {}
+        for t in tups:
+            add.setdefault(t[pos], set()).add(t[1 - pos])
+        grown = dict(side)
+        for eid, others in add.items():
+            grown[eid] = side.get(eid, _NONE) | others
+        out.append(grown)
+    return out[0], out[1]
+
+
+def _index(signature: Signature, rels: dict[str, frozenset[tuple[int, ...]]]) -> Index:
+    return {
+        name: _grow(({}, {}), rels[name]) if arity == 2 else ({}, {})
+        for name, arity in signature.relations
+    }
+
+
+def _merge(old: tuple[int, ...], new: tuple[int, ...]) -> tuple[int, ...]:
+    """Two ascending id tuples as one; an append when new lies past old."""
+    if not new:
+        return old
+    if not old or new[0] > old[-1]:
+        return old + new
+    return tuple(sorted(old + new))
+
+
 class FinStructure:
     """Immutable finite structure: universe of int ids, per-element level,
-    relation interpretations."""
+    relation interpretations, and a neighbour index per binary relation."""
 
-    __slots__ = ("signature", "universe", "_level", "_rels", "_vcache", "_key")
+    __slots__ = (
+        "signature", "universe", "_level", "_rels", "_index", "_induced", "_vcache", "_key",
+    )
 
     def __init__(
         self,
@@ -49,8 +102,7 @@ class FinStructure:
     ) -> None:
         level: dict[int, LevelOrdinal] = {}
         for eid, lvl in elements:
-            if not isinstance(eid, int) or eid < 0:
-                raise StructureError(f"element ids must be nonnegative ints, got {eid!r}")
+            _check_id(eid)
             if eid in level:
                 raise StructureError(f"duplicate element id {eid}")
             level[eid] = lvl
@@ -61,19 +113,28 @@ class FinStructure:
             if len(tup) != signature.arity(rel):
                 raise StructureError(f"arity mismatch for {rel!r}: {tup}")
             for eid in tup:
-                if eid not in level:
-                    raise StructureError(f"fact {rel}{tup} mentions unknown element {eid}")
+                if type(eid) is not int or eid not in level:
+                    raise StructureError(f"fact {rel}{tup} mentions unknown element {eid!r}")
             rels[rel].add(tuple(tup))
+        frozen = {name: frozenset(tups) for name, tups in rels.items()}
+        self._fill(signature, tuple(sorted(level)), level, frozen, _index(signature, frozen))
+
+    def _fill(self, signature, universe, level, rels, index, induced=False, vcache=None) -> None:
         self.signature = signature
-        self.universe = tuple(sorted(level))
+        self.universe = universe
         self._level = level
-        self._rels = {name: frozenset(tups) for name, tups in rels.items()}
-        self._vcache: dict[LevelOrdinal, tuple[int, ...]] = {}
-        self._key = (
-            signature,
-            tuple((eid, level[eid]) for eid in self.universe),
-            tuple((name, tuple(sorted(self._rels[name]))) for name in sorted(self._rels)),
-        )
+        self._rels = rels
+        self._index = index
+        self._induced = induced  # index shared with a larger structure
+        self._vcache: dict[LevelOrdinal, tuple[int, ...]] = {} if vcache is None else vcache
+        self._key: Optional[tuple] = None
+
+    @classmethod
+    def _make(cls, *fields, **kw) -> "FinStructure":
+        """A structure from parts already checked: no validation, no copies."""
+        out = object.__new__(cls)
+        out._fill(*fields, **kw)
+        return out
 
     # -- queries ------------------------------------------------------------
 
@@ -88,6 +149,17 @@ class FinStructure:
 
     def facts(self, rel: str) -> frozenset[tuple[int, ...]]:
         return self._rels[rel]
+
+    def neighbours(self, rel: str, pos: int, eid: int) -> frozenset[int]:
+        """Ids at position 1 - pos of the rel facts with eid at position pos:
+        for pos 0 the e with rel(eid, e), for pos 1 the e with rel(e, eid).
+        Empty for an id outside the universe and for a relation that is not
+        binary; KeyError for an unknown relation."""
+        found = self._index[rel][pos].get(eid, _NONE)
+        if self._induced:
+            level = self._level
+            return frozenset(e for e in found if e in level) if eid in level else _NONE
+        return found
 
     def v_ids(self, alpha: Optional[LevelOrdinal]) -> tuple[int, ...]:
         """Ids of V_alpha = elements at level <= alpha, ascending. Monotone in
@@ -107,11 +179,35 @@ class FinStructure:
     def size(self) -> int:
         return len(self.universe)
 
+    def restrict(self, ids: Iterable[int]) -> "FinStructure":
+        """The substructure induced on ids, which must lie in the universe:
+        their levels and every fact among them. It shares this structure's
+        neighbour index instead of building its own."""
+        keep = frozenset(ids)
+        if not keep <= self._level.keys():
+            raise StructureError(f"ids {sorted(keep - self._level.keys())} not in the universe")
+        universe = tuple(e for e in self.universe if e in keep)
+        rels = {
+            name: frozenset(t for t in tups if keep.issuperset(t))
+            for name, tups in self._rels.items()
+        }
+        level = {e: self._level[e] for e in universe}
+        return FinStructure._make(self.signature, universe, level, rels, self._index, True)
+
+    def _eq_key(self) -> tuple:
+        if self._key is None:
+            self._key = (
+                self.signature,
+                tuple((eid, self._level[eid]) for eid in self.universe),
+                tuple((name, tuple(sorted(self._rels[name]))) for name in sorted(self._rels)),
+            )
+        return self._key
+
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FinStructure) and self._key == other._key
+        return isinstance(other, FinStructure) and self._eq_key() == other._eq_key()
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self._eq_key())
 
     def __repr__(self) -> str:
         return f"<FinStructure |U|={len(self.universe)} rels={sorted(self._rels)}>"
@@ -133,13 +229,16 @@ class FinStructure:
 
     @staticmethod
     def from_doc(doc: dict) -> "FinStructure":
-        sig = Signature(tuple((name, int(ar)) for name, ar in doc["signature"]))
-        elements = tuple((int(eid), parse_level(lvl)) for eid, lvl in doc["elements"])
-        facts = []
-        for name, tups in doc["facts"].items():
-            for t in tups:
-                facts.append((name, tuple(int(e) for e in t)))
-        return FinStructure(sig, elements, tuple(facts))
+        """Inverse of to_doc. Ids and arities must be plain ints: a float, a
+        bool or a text is rejected, never coerced."""
+        relations = []
+        for name, arity in doc["signature"]:
+            if type(arity) is not int:
+                raise StructureError(f"arity of {name!r} must be an int, got {arity!r}")
+            relations.append((name, arity))
+        elements = tuple((eid, parse_level(lvl)) for eid, lvl in doc["elements"])
+        facts = tuple((name, tuple(t)) for name, tups in doc["facts"].items() for t in tups)
+        return FinStructure(Signature(tuple(relations)), elements, facts)
 
     @staticmethod
     def from_json(text: str) -> "FinStructure":
@@ -151,30 +250,45 @@ def canonical_json(doc) -> str:
 
 
 def apply_delta(structure: FinStructure, delta: ExtensionDelta) -> FinStructure:
-    """Extend by a delta. Rejects id collisions, facts among old elements
-    only, unknown relations, and dangling ids. Old levels are preserved
-    verbatim; levels never move."""
-    old = set(structure.universe)
-    new_ids = set()
-    for eid, _ in delta.new_elements:
-        if eid in old:
+    """Extend by a delta. Rejects id collisions, duplicate or malformed new
+    ids, facts among old elements only, unknown relations, arity mismatches,
+    and dangling ids. Old levels are preserved verbatim; levels never move.
+    Only the delta is checked: the parent is valid, and nothing it holds
+    changes."""
+    M, sig = structure, structure.signature
+    level = dict(M._level)
+    fresh = set()
+    for eid, lvl in delta.new_elements:
+        _check_id(eid)
+        if eid in M._level:
             raise StructureError(f"new element id {eid} already in universe")
-        if eid in new_ids:
+        if eid in fresh:
             raise StructureError(f"duplicate new element id {eid}")
-        new_ids.add(eid)
+        fresh.add(eid)
+        level[eid] = lvl
+    added: dict[str, set[tuple[int, ...]]] = {}
     for rel, tup in delta.new_facts:
-        if not structure.signature.has(rel):
+        if not sig.has(rel):
             raise StructureError(f"unknown relation {rel!r}")
-        if not any(e in new_ids for e in tup):
+        if not any(e in fresh for e in tup):
             raise StructureError(f"new fact {rel}{tup} touches no new element")
         for e in tup:
-            if e not in old and e not in new_ids:
-                raise StructureError(f"new fact {rel}{tup} mentions unknown element {e}")
-    elements = tuple((e, structure.level_of(e)) for e in structure.universe) + delta.new_elements
-    facts = tuple(
-        (name, t) for name in structure.signature.names() for t in sorted(structure.facts(name))
-    ) + delta.new_facts
-    return FinStructure(structure.signature, elements, facts)
+            if type(e) is not int or e not in level:
+                raise StructureError(f"new fact {rel}{tup} mentions unknown element {e!r}")
+        if len(tup) != sig.arity(rel):
+            raise StructureError(f"arity mismatch for {rel!r}: {tup}")
+        added.setdefault(rel, set()).add(tuple(tup))
+    new = tuple(sorted(fresh))
+    vcache = {
+        alpha: _merge(ids, tuple(e for e in new if level[e] <= alpha))
+        for alpha, ids in M._vcache.items()
+    }
+    rels = {name: tups | added[name] if name in added else tups for name, tups in M._rels.items()}
+    index = dict(_index(sig, M._rels) if M._induced else M._index)
+    for name, tups in added.items():
+        if sig.arity(name) == 2:
+            index[name] = _grow(index[name], tups)
+    return FinStructure._make(sig, _merge(M.universe, new), level, rels, index, vcache=vcache)
 
 
 def delta_to_doc(delta: ExtensionDelta) -> dict:

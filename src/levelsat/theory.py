@@ -404,15 +404,21 @@ class HensonTriangleFreeTheory(_GraphTheory):
         )
 
     def _edges_ok(self, M, env, val) -> bool:
+        """No true fresh pair closes a triangle. The third vertex w must be
+        adjacent to both ends, so only the markers and, for a pair with an
+        old end, that end's old neighbours can close one. A marker-marker
+        pair needs no old w: a triangle with an old w also has the true
+        fresh pair (marker, w), whose check finds the other marker."""
         # a fresh pair missing from val reads None: no edge
         edge = partial(self._slot_atom, M, val, "R")
         true_pairs = [p for p, v in val.items() if v]
         if not true_pairs:
             return True
         markers = sorted({t for t in env.values() if t < 0}, key=abs)
-        vertices = list(M.universe) + markers
         for a, b in true_pairs:
-            for w in vertices:
+            # a pair is (low, high), so a is a marker and b may be old
+            olds = M.neighbours("R", 0, b) if b >= 0 else ()
+            for w in itertools.chain(olds, markers):
                 if w != a and w != b and edge((a, w)) and edge((b, w)):
                     return False
         return True

@@ -228,6 +228,48 @@ def test_malformed_chain_file_is_a_usage_error(equiv_build, tmp_path, corrupt):
     assert "Traceback" not in proc.stderr
 
 
+def _set_in_final(key, path, value):
+    def edit(doc):
+        target = doc["final"][key]
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _set_in_final("elements", (0, 0), 0.7),
+        _set_in_final("elements", (1, 0), "1"),
+        _set_in_final("elements", (2, 0), 2.0),
+        _set_in_final("elements", (0, 0), False),
+        _set_in_final("facts", ("E", 0, 0), 0.2),
+        _set_in_final("facts", ("E", 0, 1), 1.0),
+        _set_in_final("signature", (0, 1), 2.5),
+    ],
+    ids=[
+        "element-float", "element-text", "element-integral-float", "element-bool",
+        "fact-float", "fact-integral-float", "arity-float",
+    ],
+)
+def test_chain_file_ids_must_be_ints(equiv_build, tmp_path, corrupt):
+    out, _ = equiv_build
+    doc = json.loads((out / "generic_equivalence.chain.json").read_text())
+    bad = tmp_path / "bad.chain.json"
+    bad.write_text(json.dumps(corrupt(doc)))
+    proc = run_cli(
+        "dim",
+        "--config", CONFIGS / "equivalence_drop.yaml",
+        "--chain", bad,
+        "--out-dir", tmp_path,
+    )
+    assert proc.returncode == 2
+    assert "bad chain file: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_chain_plugin_mismatch(equiv_build, tmp_path):
     out, _ = equiv_build
     proc = run_cli(

@@ -122,6 +122,25 @@ def test_reprocessing_fires_case1():
     assert ea3.skipped == 1 and ea3.records == ()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("covered", [(), (0,), (1, 3), (0, 1, 2, 3, 4), (9,)])
+def test_stage_skips_exactly_the_covered_tuples(k, covered):
+    """The tuples a stage processes, in order, and its skip count, against
+    the filtered product over V_alpha."""
+    text = " & ".join(f"!(y0 = x{i})" for i in range(k))
+    entry = _entry(ISET, text, fin(0))
+    M = FinStructure(ISET.signature, tuple((e, fin(0)) for e in range(5)), ())
+    frontier = {entry.key(): frozenset(covered)} if covered else {}
+    _, audit = build_stage(ISET, M, (entry,), 1, frontier)
+    (ea,) = audit.entries
+    done = [
+        t for t in itertools.product(M.universe, repeat=k)
+        if not (covered and set(t) <= set(covered))
+    ]
+    assert [r.a_tuple for r in ea.records] == done
+    assert ea.skipped == 5**k - len(done)
+
+
 def test_unrealizable_entry_fires_case3_everywhere():
     M0 = build_m0(RADO)
     entry = _entry(RADO, "R(y0, y0)", fin(0))

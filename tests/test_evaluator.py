@@ -1,6 +1,7 @@
 """Truth evaluation, definable sets, counting, and atomic-type equality."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -254,3 +255,94 @@ def test_partial_truth_is_kleene_sound(M, f, data):
         chosen = [t for t, b in zip(open_, bits) if b]
         done = FinStructure(SIG, levels, tuple(("E", t) for t in fixed + chosen))
         assert evaluate(done, f, env) is got
+
+
+# -- the index-driven search against the product scan -------------------------------
+
+INDEXED = [
+    # (formula, slot order): the tie comes from the left, from the right, from
+    # two atoms at once, from an earlier slot, or not at all
+    ("E(x0, y0)", ("y0",)),
+    ("E(y0, x0)", ("y0",)),
+    ("E(x0, y0) & E(x1, y0)", ("y0",)),
+    ("E(x0, y0) & E(y0, x1) & !(y0 = x0)", ("y0",)),
+    ("E(x0, y0) & E(y0, y1)", ("y0", "y1")),
+    ("E(y1, y0) & E(x0, y1)", ("y0", "y1")),
+    ("E(y0, y0)", ("y0",)),
+    ("E(y0, y0) & E(x0, y0)", ("y0",)),
+    ("!E(x0, y0)", ("y0",)),
+    ("!E(x0, y0) & !(y0 = x1)", ("y0",)),
+    ("E(x0, y0) | y0 = x1", ("y0",)),
+    ("!(E(x0, y0) | E(y0, x1))", ("y0",)),
+    ("E(x0, y0) & (E(y0, x1) | E(x1, y0))", ("y0",)),
+]
+
+ILEVELS = (fin(0), fin(1), omega_plus(0), omega_plus(1))
+
+
+def _digraph(rng, n: int, p: float) -> FinStructure:
+    """A directed E, so E(x0, y0) and E(y0, x0) differ, at mixed levels."""
+    levels = tuple((e, rng.choice(ILEVELS)) for e in range(n))
+    pairs = [t for t in itertools.product(range(n), repeat=2) if rng.random() < p]
+    return FinStructure(SIG, levels, tuple(("E", t) for t in pairs))
+
+
+@pytest.mark.parametrize("text, order", INDEXED, ids=[t for t, _ in INDEXED])
+def test_indexed_search_matches_the_product_scan(text, order):
+    f = parse(text, SIG)
+    params = sorted(free_vars(f) - set(order))
+    rng = random.Random(text)
+    for trial in range(6):
+        M = _digraph(rng, 12, rng.choice((0.1, 0.25, 0.5)))
+        if trial % 2:
+            # a stage view: shares the index of the structure it came from
+            M = M.restrict(rng.sample(M.universe, 8))
+        for cap in (None,) + ILEVELS:
+            for vals in itertools.product(M.universe[:5], repeat=len(params)):
+                env = dict(zip(params, vals))
+                naive = [
+                    t
+                    for t in itertools.product(M.v_ids(cap), repeat=len(order))
+                    if evaluate(M, f, env | dict(zip(order, t)))
+                ]
+                dset = DefinableSet(f, order, tuple(env.items()), cap)
+                assert solutions(M, dset) == naive
+                first = naive[0] if naive else None
+                assert find_witness(M, f, env, order, cap) == first
+
+
+def test_cap_cuts_the_neighbour_set():
+    # 0's neighbours 1 and 3 sit above fin1; the only witness under the cap is 2
+    M = _graph(
+        ((0, 1), (0, 2), (0, 3)),
+        ((0, fin(0)), (1, omega_plus(0)), (2, fin(1)), (3, omega_plus(1)), (4, fin(0))),
+    )
+    f = parse("E(x0, y0)", SIG)
+    assert find_witness(M, f, {"x0": 0}, ("y0",), fin(1)) == (2,)
+    assert solutions(M, DefinableSet(f, ("y0",), (("x0", 0),), omega_plus(0))) == [(1,), (2,)]
+
+
+class _CountingStructure(FinStructure):
+    """Counts the atoms a search evaluates."""
+
+    calls = 0
+
+    def has_fact(self, rel, tup):
+        _CountingStructure.calls += 1
+        return super().has_fact(rel, tup)
+
+
+def test_common_neighbour_search_work_does_not_grow_with_the_universe():
+    """A sparse graph: 0 and 1 share the one neighbour n - 1, and the rest
+    is a path. The index offers y0 only that neighbour, however large n."""
+    f = parse("E(x0, y0) & E(x1, y0)", SIG)
+    counts = []
+    for n in (20, 200):
+        edges = [(0, n - 1), (1, n - 1)] + [(i, i + 1) for i in range(2, n - 2)]
+        facts = [("E", t) for a, b in edges for t in ((a, b), (b, a))]
+        M = _CountingStructure(SIG, tuple((e, fin(0)) for e in range(n)), tuple(facts))
+        _CountingStructure.calls = 0
+        assert find_witness(M, f, {"x0": 0, "x1": 1}, ("y0",), None) == (n - 1,)
+        assert find_witness(M, f, {"x0": 0, "x1": 2}, ("y0",), None) is None
+        counts.append(_CountingStructure.calls)
+    assert counts[0] == counts[1]

@@ -1,5 +1,8 @@
 """Finite structures, the level chain, deltas, and serialization."""
 
+import itertools
+import random
+
 import pytest
 
 from levelsat.formula import Signature, fin, omega_plus
@@ -120,6 +123,132 @@ def test_extension_restricts_to_old_structure():
         assert M2.level_of(e) == M.level_of(e)
 
 
+# -- the incremental apply_delta against a fresh build ----------------------------------
+
+MSIG = Signature((("E", 2), ("P", 1), ("T", 3)))
+MLEVELS = (fin(0), fin(1), fin(2), omega_plus(0), omega_plus(1))
+
+
+def _random_delta(rng, M, max_new=3):
+    """New ids past the universe (or, now and then, into a gap below it)
+    and random facts, each touching a new element."""
+    gaps = [e for e in range(M.max_id) if e not in M]
+    new = rng.sample(gaps, 1) if gaps and rng.random() < 0.3 else []
+    new += rng.sample(range(M.max_id + 1, M.max_id + 2 * max_new), rng.randint(1, max_new))
+    pool = list(M.universe) + new
+    facts = []
+    for _ in range(rng.randint(0, 6)):
+        rel, arity = rng.choice(MSIG.relations)
+        tup = [rng.choice(pool) for _ in range(arity)]
+        tup[rng.randrange(arity)] = rng.choice(new)
+        facts.append((rel, tuple(tup)))
+    return ExtensionDelta(tuple((e, rng.choice(MLEVELS)) for e in new), tuple(facts))
+
+
+def _snapshot(M):
+    """Everything a query can read from M, index included."""
+    ids = M.universe + (M.max_id + 1,)
+    return (
+        M.to_json(),
+        [M.v_ids(a) for a in MLEVELS],
+        {t: M.has_fact("E", t) for t in itertools.product(ids, repeat=2)},
+        {
+            (rel, pos, e): M.neighbours(rel, pos, e)
+            for rel in M.signature.names() for pos in (0, 1) for e in ids
+        },
+    )
+
+
+def _assert_same(M, fresh):
+    assert M == fresh and hash(M) == hash(fresh)
+    assert M.to_json() == fresh.to_json()
+    for alpha in MLEVELS + (None,):
+        assert M.v_ids(alpha) == fresh.v_ids(alpha)
+    ids = fresh.universe + (fresh.max_id + 1,)
+    for rel in MSIG.names():
+        assert M.facts(rel) == fresh.facts(rel)
+        for pos, e in itertools.product((0, 1), ids):
+            want = {t[1 - pos] for t in fresh.facts(rel) if len(t) == 2 and t[pos] == e}
+            assert M.neighbours(rel, pos, e) == want
+    for t in itertools.product(ids, repeat=2):
+        assert M.has_fact("E", t) == fresh.has_fact("E", t)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_apply_delta_matches_a_fresh_build(seed):
+    rng = random.Random(seed)
+    M = FinStructure(MSIG, ((0, fin(0)),), ())
+    elements, facts = [(0, fin(0))], []
+    for _ in range(12):
+        for alpha in rng.sample(MLEVELS, 3):
+            M.v_ids(alpha)  # fill the cache the child extends
+        delta = _random_delta(rng, M)
+        before = _snapshot(M)
+        child = apply_delta(M, delta)
+        assert _snapshot(M) == before
+        elements += delta.new_elements
+        facts += delta.new_facts
+        _assert_same(child, FinStructure(MSIG, tuple(elements), tuple(facts)))
+        M = child
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_restriction_shares_an_exact_index(seed):
+    rng = random.Random(seed)
+    M = FinStructure(MSIG, ((0, fin(0)),), ())
+    for _ in range(8):
+        M = apply_delta(M, _random_delta(rng, M))
+    keep = sorted(rng.sample(M.universe, len(M.universe) // 2))
+    view = M.restrict(keep)
+    facts = [
+        (rel, t) for rel in MSIG.names() for t in sorted(M.facts(rel)) if set(t) <= set(keep)
+    ]
+    fresh = FinStructure(MSIG, tuple((e, M.level_of(e)) for e in keep), tuple(facts))
+    _assert_same(view, fresh)
+    # a delta on a view reuses ids the source holds, with other neighbours
+    delta = _random_delta(rng, view)
+    _assert_same(
+        apply_delta(view, delta),
+        FinStructure(
+            MSIG,
+            tuple((e, M.level_of(e)) for e in keep) + delta.new_elements,
+            tuple(facts) + delta.new_facts,
+        ),
+    )
+    with pytest.raises(StructureError):
+        M.restrict([M.max_id + 1])
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [
+        ExtensionDelta(((1, fin(1)),), ()),
+        ExtensionDelta(((2, fin(1)), (2, fin(2))), ()),
+        ExtensionDelta(((-1, fin(1)),), ()),
+        ExtensionDelta(((2.0, fin(1)),), ()),
+        ExtensionDelta((("2", fin(1)),), ()),
+        ExtensionDelta(((True, fin(1)),), ()),
+        ExtensionDelta(((2, fin(1)),), (("R", (2, 0)),)),
+        ExtensionDelta(((2, fin(1)),), (("E", (2, 0, 1)),)),
+        ExtensionDelta(((2, fin(1)),), (("E", (2,)),)),
+        ExtensionDelta(((2, fin(1)),), (("E", (0, 1)),)),
+        ExtensionDelta(((2, fin(1)),), (("E", (2, 9)),)),
+        ExtensionDelta(((2, fin(1)),), (("E", (2, 1.0)),)),
+    ],
+    ids=[
+        "collision", "duplicate", "negative", "float-id", "text-id", "bool-id",
+        "unknown-relation", "arity-long", "arity-short", "old-only", "dangling",
+        "float-in-fact",
+    ],
+)
+def test_apply_delta_rejects_malformed_deltas(delta):
+    M = _pair()
+    before = _snapshot(M)
+    with pytest.raises(StructureError):
+        apply_delta(M, delta)
+    assert _snapshot(M) == before
+
+
 # -- serialization --------------------------------------------------------------------
 
 
@@ -140,3 +269,29 @@ def test_delta_doc_round_trip():
 
 def test_canonical_json_is_key_sorted_and_compact():
     assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["elements"][0].__setitem__(0, 0.7),
+        lambda d: d["elements"][1].__setitem__(0, "1"),
+        lambda d: d["elements"][2].__setitem__(0, 2.0),
+        lambda d: d["elements"][0].__setitem__(0, False),
+        lambda d: d["facts"]["E"][0].__setitem__(0, 0.2),
+        lambda d: d["facts"]["E"][0].__setitem__(1, 1.0),
+        lambda d: d["facts"]["E"][0].__setitem__(0, True),
+        lambda d: d["signature"][0].__setitem__(1, 2.5),
+        lambda d: d["signature"][0].__setitem__(1, True),
+    ],
+    ids=[
+        "element-float", "element-text", "element-integral-float", "element-bool",
+        "fact-float", "fact-integral-float", "fact-bool", "arity-float", "arity-bool",
+    ],
+)
+def test_from_doc_rejects_ids_and_arities_that_are_not_ints(edit):
+    M = apply_delta(_pair(), ExtensionDelta(((2, omega_plus(1)),), (("E", (1, 2)),)))
+    doc = M.to_doc()
+    edit(doc)
+    with pytest.raises(StructureError):
+        FinStructure.from_doc(doc)

@@ -1,5 +1,8 @@
 """Theory plugins: universal-axiom validation and the extension oracle."""
 
+import itertools
+import random
+
 import pytest
 
 from levelsat.evaluator import evaluate
@@ -266,6 +269,39 @@ def test_one_witness_extension_scans_the_universe_once():
     ext = plugin.extends_with_witness(_edgeless(n), parse("R(x0, y0)", GSIG), (0,), fin(1))
     assert ext is not None and ext.witness == (n,)
     assert calls[0] <= n + 10
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_triangle_veto_matches_the_full_walk(seed):
+    """_edges_ok against a walk over every old element and marker as the
+    third vertex of a triangle through a true fresh pair."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        n, k = rng.randint(1, 6), rng.randint(1, 3)
+        edges = {
+            t for a, b in itertools.combinations(range(n), 2) if rng.random() < 0.4
+            for t in ((a, b), (b, a))
+        }
+        M = FinStructure(
+            GSIG, tuple((e, fin(0)) for e in range(n)), tuple(("R", t) for t in edges)
+        )
+        markers = [-(j + 1) for j in range(k)]
+        env = {f"y{j}": m for j, m in enumerate(markers)}
+        pairs = [(m, e) for m in markers for e in range(n)]
+        pairs += itertools.combinations(markers[::-1], 2)  # (low, high)
+        val = {p: rng.random() < 0.5 for p in pairs if rng.random() < 0.7}
+
+        def edge(a, b):
+            if a >= 0 and b >= 0:
+                return (a, b) in edges
+            return bool(val.get((min(a, b), max(a, b))))
+
+        closes = any(
+            edge(a, w) and edge(b, w)
+            for (a, b), v in val.items() if v
+            for w in list(range(n)) + markers if w not in (a, b)
+        )
+        assert HENSON._edges_ok(M, env, val) is not closes
 
 
 # -- oracle soundness ---------------------------------------------------------------
