@@ -258,13 +258,11 @@ def _audit_text(chain: StageChain) -> str:
     lines = []
     for audit in chain.audits:
         for ea in audit.entries:
-            cases = {1: 0, 2: 0, 3: 0}
-            for rec in ea.records:
-                cases[rec.case] += 1
+            cases = [rec.case for rec in ea.records]
             lines.append(
                 f"stage {audit.stage} pos {ea.position} level {ea.level.render()} "
                 f"|V|={len(ea.v_before)} skipped={ea.skipped} "
-                f"internal={cases[1]} oracle={cases[2]} unrealizable={cases[3]}"
+                f"internal={ea.internal} oracle={cases.count(2)} unrealizable={cases.count(3)}"
             )
     return "\n".join(lines) + "\n"
 

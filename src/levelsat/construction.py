@@ -6,7 +6,7 @@ For an entry (phi, x-bar, y-bar, alpha) and each parameter tuple a-bar over
 V_alpha (snapshot taken when the entry's turn starts, lexicographic order):
 
   case 1: some witness for phi(a-bar, y-bar) already lies inside V_{alpha+1};
-          the structure is unchanged.
+          the structure is unchanged and the tuple is only counted.
   case 2: no internal witness, but the theory oracle can realize phi in an
           extension; its witness is applied, new elements entering at exactly
           alpha+1, old witness components restricted to V_{alpha+1} so the
@@ -25,6 +25,7 @@ elements is permanent and case-3 answers are final.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Optional
@@ -60,7 +61,7 @@ class ConstructionError(ValueError):
 @dataclass(frozen=True)
 class CaseRecord:
     a_tuple: tuple[int, ...]
-    case: int  # 1 internal witness, 2 oracle extension, 3 unrealizable
+    case: int  # 2 oracle extension, 3 unrealizable
     witness: Optional[tuple[int, ...]]
     new_ids: tuple[int, ...] = ()
 
@@ -71,6 +72,7 @@ class EntryAudit:
     level: LevelOrdinal
     v_before: tuple[int, ...]
     skipped: int
+    internal: int  # case-1 tuples; case 2 and 3 each leave a record
     records: tuple[CaseRecord, ...]
 
 
@@ -139,7 +141,6 @@ def build_stage(
     entries: tuple[ScheduleEntry, ...],
     stage: int,
     frontier: dict,
-    check_oracle: bool = True,
 ) -> tuple[FinStructure, StageAudit]:
     """Process the given schedule entries (stable-sorted by level) against
     prev. frontier maps entry keys to the parameter ids already covered; it
@@ -160,17 +161,16 @@ def build_stage(
             todo = _touching(v_now, covered, k)
         else:
             skipped, todo = 0, itertools.product(v_now, repeat=k)
-        records = []
+        internal, records = 0, []
         for a_bar in todo:
             env = dict(zip(entry.x_vars, a_bar))
-            internal = find_witness(M, entry.formula, env, entry.y_vars, succ)
-            if internal is not None:
-                records.append(CaseRecord(a_bar, 1, internal))
+            if find_witness(M, entry.formula, env, entry.y_vars, succ) is not None:
+                internal += 1
                 continue
             args = (M, entry.formula, a_bar, succ)
             kw = dict(x_vars=entry.x_vars, y_vars=entry.y_vars, allowed_old=M.v_ids(succ))
             ext = plugin.extends_with_witness(*args, **kw)
-            if check_oracle and plugin.extends_with_witness(*args, **kw) != ext:
+            if plugin.extends_with_witness(*args, **kw) != ext:
                 raise InternalFaultError(
                     f"oracle nondeterminism on {render(entry.formula)} at {a_bar}"
                 )
@@ -188,7 +188,7 @@ def build_stage(
                 CaseRecord(a_bar, 2, ext.witness, tuple(e for e, _ in ext.delta.new_elements))
             )
         frontier[key] = covered | set(v_now)
-        audits.append(EntryAudit(entry.position, alpha, v_now, skipped, tuple(records)))
+        audits.append(EntryAudit(entry.position, alpha, v_now, skipped, internal, tuple(records)))
     return M, StageAudit(stage, tuple(audits))
 
 
@@ -216,7 +216,6 @@ def build_chain(
     *,
     schedule: Optional[tuple[ScheduleEntry, ...]] = None,
     horizon: int = 4,
-    check_oracle: bool = True,
 ) -> StageChain:
     """M_0 through M_n under the plugin's seeded schedule (or a caller-built
     one). Deterministic: equal inputs give equal chains, byte for byte."""
@@ -233,7 +232,7 @@ def build_chain(
     audits = []
     frontier: dict = {}
     for n in range(1, n_stages + 1):
-        M, audit = build_stage(plugin, M, schedule[:n], n, frontier, check_oracle=check_oracle)
+        M, audit = build_stage(plugin, M, schedule[:n], n, frontier)
         for e in M.universe:
             born_at.setdefault(e, n)
         audits.append(audit)
@@ -402,8 +401,12 @@ def embed_model(
 # serialization
 
 
+CHAIN_FORMAT = 2
+
+
 def chain_to_doc(chain: StageChain) -> dict:
     return {
+        "format": CHAIN_FORMAT,
         "plugin": chain.plugin_name,
         "schedule": [
             {
@@ -424,8 +427,8 @@ def chain_to_doc(chain: StageChain) -> dict:
                     {
                         "position": ea.position,
                         "level": ea.level.render(),
-                        "v_before": list(ea.v_before),
                         "skipped": ea.skipped,
+                        "internal": ea.internal,
                         "records": [
                             {
                                 "a": list(r.a_tuple),
@@ -449,8 +452,15 @@ def serialize_chain(chain: StageChain) -> str:
 
 
 def chain_from_doc(doc: dict) -> StageChain:
+    """Inverse of chain_to_doc, which leaves out each entry's v_before. Ids
+    are handed out as max_id + 1, so the structure an entry saw is final cut
+    down to the ids up to a watermark: the largest id that M0 or an earlier
+    case-2 record created. Its v_before is V_alpha of that cut."""
     if not isinstance(doc, dict):
         raise ConstructionError("a chain must be a JSON object")
+    fmt = doc.get("format")
+    if type(fmt) is not int or fmt != CHAIN_FORMAT:
+        raise ConstructionError(f"need chain format {CHAIN_FORMAT}, got {fmt!r}")
     missing = {"plugin", "schedule", "final", "born", "audits"} - doc.keys()
     if missing:
         raise ConstructionError(f"missing keys {sorted(missing)}")
@@ -471,31 +481,33 @@ def chain_from_doc(doc: dict) -> StageChain:
         )
         for d in doc["schedule"]
     )
-    audits = tuple(
-        StageAudit(
-            a["stage"],
-            tuple(
-                EntryAudit(
-                    ea["position"],
-                    parse_level(ea["level"]),
-                    tuple(ea["v_before"]),
-                    ea["skipped"],
-                    tuple(
-                        CaseRecord(
-                            tuple(r["a"]),
-                            r["case"],
-                            tuple(r["witness"]) if r["witness"] is not None else None,
-                            tuple(r["new_ids"]),
-                        )
-                        for r in ea["records"]
-                    ),
+    watermark = max((e for e, b in zip(final.universe, born) if b == 0), default=-1)
+    audits = []
+    for a in doc["audits"]:
+        entries = []
+        for ea in a["entries"]:
+            level, internal = parse_level(ea["level"]), ea["internal"]
+            if type(internal) is not int or internal < 0:
+                raise ConstructionError(f"internal counts must be integers >= 0, got {internal!r}")
+            vids = final.v_ids(level)
+            v_before = vids[: bisect_right(vids, watermark)]
+            records = tuple(
+                CaseRecord(
+                    tuple(r["a"]), r["case"],
+                    tuple(r["witness"]) if r["witness"] is not None else None,
+                    tuple(r["new_ids"]),
                 )
-                for ea in a["entries"]
-            ),
-        )
-        for a in doc["audits"]
-    )
-    return StageChain(doc["plugin"], schedule, final, tuple(born), audits)
+                for r in ea["records"]
+            )
+            entries.append(
+                EntryAudit(ea["position"], level, v_before, ea["skipped"], internal, records)
+            )
+            for e in (e for r in records for e in r.new_ids):
+                if type(e) is not int or e not in final:
+                    raise ConstructionError(f"case-2 id {e!r} is not in the final structure")
+                watermark = max(watermark, e)
+        audits.append(StageAudit(a["stage"], tuple(entries)))
+    return StageChain(doc["plugin"], schedule, final, tuple(born), tuple(audits))
 
 
 def load_chain(text: str) -> StageChain:

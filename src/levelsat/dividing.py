@@ -205,7 +205,6 @@ def certify_dividing(
             _next_fin_level(M),
             x_vars=p_vars,
             y_vars=w_vars,
-            max_new=len(w_vars),
         )
         if ext is None:
             return None

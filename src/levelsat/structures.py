@@ -290,16 +290,3 @@ def apply_delta(structure: FinStructure, delta: ExtensionDelta) -> FinStructure:
             index[name] = _grow(index[name], tups)
     return FinStructure._make(sig, _merge(M.universe, new), level, rels, index, vcache=vcache)
 
-
-def delta_to_doc(delta: ExtensionDelta) -> dict:
-    return {
-        "new_elements": [[eid, lvl.render()] for eid, lvl in delta.new_elements],
-        "new_facts": [[rel, list(t)] for rel, t in delta.new_facts],
-    }
-
-
-def delta_from_doc(doc: dict) -> ExtensionDelta:
-    return ExtensionDelta(
-        tuple((int(e), parse_level(l)) for e, l in doc["new_elements"]),
-        tuple((rel, tuple(int(e) for e in t)) for rel, t in doc["new_facts"]),
-    )

@@ -137,7 +137,6 @@ class TheoryPlugin(abc.ABC):
         x_vars: Optional[tuple[str, ...]] = None,
         y_vars: Optional[tuple[str, ...]] = None,
         allowed_old: Optional[Sequence[int]] = None,
-        max_new: Optional[int] = None,
     ) -> Optional[WitnessExtension]:
         """Minimal extension of M realizing phi(a_tuple, y-bar), or None if
         no extension inside the theory realizes it (final: stays None for
@@ -171,9 +170,8 @@ class TheoryPlugin(abc.ABC):
             for e in pool:
                 if e not in M:
                     raise OracleError(f"allowed_old id {e} not in the universe")
-        kmax = len(y_vars) if max_new is None else min(max_new, len(y_vars))
         env0 = dict(zip(x_vars, a_tuple))
-        hit = self._search(M, phi, env0, tuple(y_vars), pool, kmax)
+        hit = self._search(M, phi, env0, tuple(y_vars), pool, len(y_vars))
         if hit is None:
             return None
         facts, env = hit
@@ -459,9 +457,7 @@ class GenericEquivalenceTheory(TheoryPlugin):
         )
 
     def _class_label(self, M: FinStructure, e: int) -> tuple[str, int]:
-        members = [u for u in M.universe if M.has_fact("E", (u, e))]
-        rep = min(members) if members else e
-        return ("old", rep)
+        return ("old", min(M.neighbours("E", 1, e), default=e))
 
     def _slot_atom(self, M, val, rel, terms):
         """val maps each fresh marker to its class label."""
@@ -510,11 +506,9 @@ class GenericEquivalenceTheory(TheoryPlugin):
             label = attrs[m]
             facts.append(("E", (m, m)))
             if label[0] == "old":
-                rep = label[1]
-                for u in M.universe:
-                    if M.has_fact("E", (u, rep)):
-                        facts.append(("E", (m, u)))
-                        facts.append(("E", (u, m)))
+                for u in sorted(M.neighbours("E", 1, label[1])):
+                    facts.append(("E", (m, u)))
+                    facts.append(("E", (u, m)))
             for m2 in markers[:idx]:
                 if attrs[m2] == label:
                     facts.append(("E", (m, m2)))

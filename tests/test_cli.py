@@ -187,6 +187,32 @@ def _old_format(doc):
     return doc
 
 
+def _parent_format(doc):
+    """The layout before format 2: no format key, and a v_before list in
+    place of each entry's internal count."""
+    del doc["format"]
+    for audit in doc["audits"]:
+        for ea in audit["entries"]:
+            del ea["internal"]
+            ea["v_before"] = [0]
+    return doc
+
+
+def _set_internal(value):
+    def edit(doc):
+        doc["audits"][0]["entries"][0]["internal"] = value
+        return doc
+    return edit
+
+
+def _dangling_new_id(doc):
+    rec = next(
+        r for a in doc["audits"] for ea in a["entries"] for r in ea["records"] if r["new_ids"]
+    )
+    rec["new_ids"][0] = max(e for e, _ in doc["final"]["elements"]) + 1
+    return doc
+
+
 def _set_born(i, value):
     def edit(doc):
         doc["born"][i] = value
@@ -210,11 +236,19 @@ def _set_born(i, value):
         _set_born(0, 1.0),
         _set_born(0, True),
         _set_born(0, None),
+        _parent_format,
+        lambda doc: {**doc, "format": 1},
+        _set_internal(-1),
+        _set_internal("3"),
+        _set_internal(True),
+        _dangling_new_id,
     ],
     ids=[
         "list", "string", "old-format", "old-format-no-stages", "born-short",
         "born-long", "born-not-list", "born-past-n", "born-negative",
         "born-text", "born-float", "born-bool", "born-null",
+        "format-absent", "format-1", "internal-negative", "internal-text",
+        "internal-bool", "new-id-dangling",
     ],
 )
 def test_malformed_chain_file_is_a_usage_error(equiv_build, tmp_path, corrupt):

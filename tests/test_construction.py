@@ -114,7 +114,7 @@ def test_reprocessing_fires_case1():
     assert M2 == M1
     (ea,) = audit.entries
     assert ea.skipped == 0
-    assert [r.case for r in ea.records] == [1]
+    assert ea.internal == 1 and ea.records == ()
     # the skip cache shortcuts the same tuple with the same outcome
     M3, audit3 = build_stage(EQUIV, M1, (entry,), 2, frontier)
     assert M3 == M1
@@ -126,8 +126,9 @@ def test_reprocessing_fires_case1():
 @pytest.mark.parametrize("covered", [(), (0,), (1, 3), (0, 1, 2, 3, 4), (9,)])
 def test_stage_skips_exactly_the_covered_tuples(k, covered):
     """The tuples a stage processes, in order, and its skip count, against
-    the filtered product over V_alpha."""
-    text = " & ".join(f"!(y0 = x{i})" for i in range(k))
+    the filtered product over V_alpha. The formula is unrealizable, so
+    every processed tuple leaves a case-3 record."""
+    text = " & ".join(f"!(y0 = x{i})" for i in range(k)) + " & !(y0 = y0)"
     entry = _entry(ISET, text, fin(0))
     M = FinStructure(ISET.signature, tuple((e, fin(0)) for e in range(5)), ())
     frontier = {entry.key(): frozenset(covered)} if covered else {}
@@ -138,6 +139,7 @@ def test_stage_skips_exactly_the_covered_tuples(k, covered):
         if not (covered and set(t) <= set(covered))
     ]
     assert [r.a_tuple for r in ea.records] == done
+    assert ea.internal == 0
     assert ea.skipped == 5**k - len(done)
 
 
@@ -333,8 +335,9 @@ def test_chain_serialization_round_trip(chains12):
 @pytest.mark.parametrize("name", sorted(PLUGINS))
 def test_stage_view_matches_stage_by_stage_build(chains12, name):
     """The stages view equals the structures a build_stage loop keeps, the
-    birth stamps survive a file round trip, and an embedding leaves stages
-    0..n-1 alone while its new elements are born at stage n."""
+    birth stamps and the audits (v_before derived on load) survive a file
+    round trip, and an embedding leaves stages 0..n-1 alone while its new
+    elements are born at stage n."""
     plugin, chain = get_plugin(name), chains12[name]
     schedule = tuple(seeded_schedule(plugin.signature, plugin.seeds(), 12, 4))
     kept, frontier = [build_m0(plugin)], {}
@@ -342,7 +345,8 @@ def test_stage_view_matches_stage_by_stage_build(chains12, name):
         M, _ = build_stage(plugin, kept[-1], schedule[:n], n, frontier)
         kept.append(M)
     assert list(chain.stages) == kept
-    assert load_chain(serialize_chain(chain)).born == chain.born
+    back = load_chain(serialize_chain(chain))
+    assert back.born == chain.born and back.audits == chain.audits
 
     # one more element than the chain has forces the embedding to grow it
     m, M0 = chain.final.size() + 1, kept[0]
@@ -361,7 +365,8 @@ def test_stage_view_matches_stage_by_stage_build(chains12, name):
     assert new and {grown.born_at[e] for e in new} == {12}
     assert grown.stages[:12] == chain.stages[:12]
     assert grown.stages[12] == grown.final
-    assert load_chain(serialize_chain(grown)).born == grown.born
+    back = load_chain(serialize_chain(grown))
+    assert back.born == grown.born and back.audits == grown.audits
 
 
 def test_build_chain_deterministic():

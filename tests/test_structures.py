@@ -12,8 +12,6 @@ from levelsat.structures import (
     StructureError,
     apply_delta,
     canonical_json,
-    delta_from_doc,
-    delta_to_doc,
 )
 
 SIG = Signature((("E", 2),))
@@ -260,11 +258,6 @@ def test_structure_json_round_trip_bit_exact():
     back = FinStructure.from_json(text)
     assert back == M
     assert back.to_json() == text
-
-
-def test_delta_doc_round_trip():
-    d = ExtensionDelta(((5, fin(2)), (6, omega_plus(0))), (("E", (5, 6)),))
-    assert delta_from_doc(delta_to_doc(d)) == d
 
 
 def test_canonical_json_is_key_sorted_and_compact():
