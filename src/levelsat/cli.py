@@ -380,15 +380,8 @@ def cmd_divide(
         dropped_all &= drop.any_diverges_neg
         psi_csv = out_dir / f"{spec.name}.psi.csv"
         phi_csv = out_dir / f"{spec.name}.phi.csv"
-        _write(psi_csv, export_trend_csv(trend(chain, psi, label=spec.psi)))
-        _, ys, rest = roles(spec.phi)
-        base = DefinableSet(
-            spec.phi,
-            psi.vars,
-            tuple(zip(rest, a_ids)) + tuple(zip(ys, b_ids)),
-            psi.cap,
-        )
-        _write(phi_csv, export_trend_csv(trend(chain, base)))
+        _write(psi_csv, export_trend_csv(drop.psi_trend))
+        _write(phi_csv, export_trend_csv(drop.base_trend))
         best = drop.best
         entry = {
             "name": spec.name,

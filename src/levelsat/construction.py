@@ -45,7 +45,7 @@ from .formula import (
     render,
     seeded_schedule,
 )
-from .structures import FinStructure, apply_delta, canonical_json
+from .structures import ExtensionDelta, FinStructure, apply_delta, canonical_json
 from .theory import TheoryPlugin
 
 
@@ -85,11 +85,12 @@ class StageAudit:
 @dataclass(frozen=True)
 class StageChain:
     """The final structure plus born[j], the stage at which final.universe[j]
-    entered; audits[i] describes the work of stage i+1. M_i is the view
-    stages[i]: the substructure of final induced on the elements born by
-    stage i, sharing final's neighbour index. The view is exact because no
-    delta adds a fact among old elements only, so M_i held every fact among
-    its elements, and because levels are frozen."""
+    entered; audits[i] describes the work of stage i+1. M_i is stages[i],
+    replayed from the birth stamps: M_0 holds the elements born at stage 0
+    and the facts among them, and M_{i+1} is M_i grown by the elements born
+    at stage i+1 and the facts whose latest-born element was born then. The
+    replay is exact because no delta adds a fact among old elements only and
+    levels are frozen. stages[n] is final itself."""
 
     plugin_name: str
     schedule: tuple[ScheduleEntry, ...]
@@ -107,10 +108,19 @@ class StageChain:
 
     @cached_property
     def stages(self) -> tuple[FinStructure, ...]:
-        M, born_at = self.final, self.born_at
-        return tuple(
-            M.restrict(e for e in M.universe if born_at[e] <= i) for i in range(self.n_stages)
-        ) + (M,)
+        M, born_at, n = self.final, self.born_at, self.n_stages
+        elements: list[list] = [[] for _ in range(n + 1)]
+        facts: list[list] = [[] for _ in range(n + 1)]
+        for e in M.universe:
+            elements[born_at[e]].append((e, M.level_of(e)))
+        for rel in M.signature.names():
+            for t in M.facts(rel):
+                facts[max(born_at[e] for e in t)].append((rel, t))
+        stages, M_i = [], FinStructure(M.signature, (), ())
+        for i in range(n):
+            M_i = apply_delta(M_i, ExtensionDelta(tuple(elements[i]), tuple(facts[i])))
+            stages.append(M_i)
+        return (*stages, M)
 
 
 def build_m0(plugin: TheoryPlugin) -> FinStructure:
@@ -146,7 +156,7 @@ def build_stage(
     prev. frontier maps entry keys to the parameter ids already covered; it
     is updated in place. Returns the new structure and the stage audit."""
     M = prev
-    ordered = sorted(entries, key=lambda e: (e.level._key(), e.position))
+    ordered = sorted(entries, key=lambda e: (e.level, e.position))
     audits = []
     for entry in ordered:
         key = entry.key()
@@ -455,7 +465,10 @@ def chain_from_doc(doc: dict) -> StageChain:
     """Inverse of chain_to_doc, which leaves out each entry's v_before. Ids
     are handed out as max_id + 1, so the structure an entry saw is final cut
     down to the ids up to a watermark: the largest id that M0 or an earlier
-    case-2 record created. Its v_before is V_alpha of that cut."""
+    case-2 record created. Its v_before is V_alpha of that cut. Every audit
+    must sit at its own stage, every entry must name one of its stage's
+    schedule entries at that entry's level, and its counts must add up to
+    |v_before|^k."""
     if not isinstance(doc, dict):
         raise ConstructionError("a chain must be a JSON object")
     fmt = doc.get("format")
@@ -481,33 +494,52 @@ def chain_from_doc(doc: dict) -> StageChain:
         )
         for d in doc["schedule"]
     )
+    place = {e.position: i for i, e in enumerate(schedule)}
     watermark = max((e for e, b in zip(final.universe, born) if b == 0), default=-1)
     audits = []
-    for a in doc["audits"]:
+    for stage, a in enumerate(doc["audits"], 1):
+        if type(a["stage"]) is not int or a["stage"] != stage:
+            raise ConstructionError(f"audit {stage} claims stage {a['stage']!r}")
         entries = []
         for ea in a["entries"]:
-            level, internal = parse_level(ea["level"]), ea["internal"]
-            if type(internal) is not int or internal < 0:
-                raise ConstructionError(f"internal counts must be integers >= 0, got {internal!r}")
-            vids = final.v_ids(level)
-            v_before = vids[: bisect_right(vids, watermark)]
-            records = tuple(
-                CaseRecord(
-                    tuple(r["a"]), r["case"],
-                    tuple(r["witness"]) if r["witness"] is not None else None,
-                    tuple(r["new_ids"]),
+            pos = ea["position"]
+            if type(pos) is not int or place.get(pos, stage) >= stage:
+                raise ConstructionError(f"stage {stage} has no schedule position {pos!r}")
+            entry = schedule[place[pos]]
+            if ea["level"] != entry.level.render():
+                raise ConstructionError(f"position {pos} is at {entry.level}, not {ea['level']!r}")
+            skipped, internal = ea["skipped"], ea["internal"]
+            if not all(type(c) is int and c >= 0 for c in (skipped, internal)):
+                raise ConstructionError(
+                    f"skipped and internal must be integers >= 0, got {skipped!r}, {internal!r}"
                 )
-                for r in ea["records"]
-            )
-            entries.append(
-                EntryAudit(ea["position"], level, v_before, ea["skipped"], internal, records)
-            )
-            for e in (e for r in records for e in r.new_ids):
-                if type(e) is not int or e not in final:
-                    raise ConstructionError(f"case-2 id {e!r} is not in the final structure")
-                watermark = max(watermark, e)
-        audits.append(StageAudit(a["stage"], tuple(entries)))
+            vids = final.v_ids(entry.level)
+            v_before = vids[: bisect_right(vids, watermark)]
+            records = tuple(_record_from_doc(r, final) for r in ea["records"])
+            if skipped + internal + len(records) != len(v_before) ** len(entry.x_vars):
+                raise ConstructionError(
+                    f"stage {stage}, position {pos}: counts do not add up to |V_alpha|^k"
+                )
+            entries.append(EntryAudit(pos, entry.level, v_before, skipped, internal, records))
+            watermark = max((watermark, *(e for r in records for e in r.new_ids)))
+        audits.append(StageAudit(stage, tuple(entries)))
     return StageChain(doc["plugin"], schedule, final, tuple(born), tuple(audits))
+
+
+def _record_from_doc(r: dict, final: FinStructure) -> CaseRecord:
+    """A case-2 or case-3 record whose ids all lie in final; a case-3 record
+    has no witness and no new ids."""
+    case = r["case"]
+    if type(case) is not int or case not in (2, 3):
+        raise ConstructionError(f"record cases must be 2 or 3, got {case!r}")
+    witness = tuple(r["witness"]) if r["witness"] is not None else None
+    rec = CaseRecord(tuple(r["a"]), case, witness, tuple(r["new_ids"]))
+    if case == 3 and (witness is not None or rec.new_ids):
+        raise ConstructionError("a case-3 record has a witness or new ids")
+    for e in rec.a_tuple + (witness or ()) + rec.new_ids:
+        if type(e) is not int or e not in final:
+            raise ConstructionError(f"record id {e!r} is not in the final structure")
+    return rec
 
 
 def load_chain(text: str) -> StageChain:

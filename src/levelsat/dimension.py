@@ -54,8 +54,11 @@ class DimTrend:
 
 def trend(chain, dset: DefinableSet, label: Optional[str] = None) -> DimTrend:
     """Per-stage counts, starting at the first stage where every parameter
-    id exists: the latest birth stage among them. Counts never decrease
-    along a chain: stages only grow."""
+    id exists: the latest birth stage among them. Stages only grow and never
+    add a fact among old elements, so counts never decrease along a chain
+    for a quantifier-free set or one whose formula is an exists over a
+    quantifier-free body. A negated exists can lose solutions as witnesses
+    arrive."""
     needed = [eid for _, eid in dset.params]
     if not all(e in chain.born_at for e in needed):
         raise ValueError("trend parameters never appear in the chain")

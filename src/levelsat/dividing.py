@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .construction import InternalFaultError, StageChain
-from .dimension import DIVERGES_NEG, DimCompareResult, dim_compare, trend
+from .dimension import DIVERGES_NEG, DimCompareResult, DimTrend, dim_compare, trend
 from .evaluator import DefinableSet, diag_key, qf_type_equal, solutions
 from .formula import (
     Eq,
@@ -243,7 +243,8 @@ class DropEntry:
 
 @dataclass(frozen=True)
 class DropReport:
-    psi_label: str
+    psi_trend: DimTrend
+    base_trend: DimTrend
     phi_text: str
     base_instance: tuple[int, ...]
     window: int
@@ -313,7 +314,8 @@ def find_dimension_drop(
             continue
         entries.append(DropEntry(c, dim_compare(t1, t2, window, bound)))
     return DropReport(
-        t2.label,
+        t2,
+        tb,
         render(phi),
         b_ids,
         window,

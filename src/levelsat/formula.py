@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 # levels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LevelOrdinal:
     """An ordinal below omega+omega: fin(k) or omega_plus(k).
 
@@ -25,6 +25,8 @@ class LevelOrdinal:
     stays on its own side of omega; nothing ever crosses up.
     """
 
+    # the order compares (tag, index): "fin" < "omega" as text puts every
+    # finite level first, and __post_init__ admits no other tag
     tag: str  # "fin" | "omega"
     index: int
 
@@ -33,21 +35,6 @@ class LevelOrdinal:
             raise ValueError(f"bad level tag {self.tag!r}")
         if self.index < 0:
             raise ValueError("level index must be >= 0")
-
-    def _key(self) -> tuple[int, int]:
-        return (0 if self.tag == "fin" else 1, self.index)
-
-    def __lt__(self, other: "LevelOrdinal") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "LevelOrdinal") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "LevelOrdinal") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "LevelOrdinal") -> bool:
-        return self._key() >= other._key()
 
     def successor(self) -> "LevelOrdinal":
         return LevelOrdinal(self.tag, self.index + 1)

@@ -1,31 +1,25 @@
 """Finite relational structures with level assignments, and one-step deltas.
 
-A FinStructure never changes in place. Growth happens by building an
-ExtensionDelta and calling apply_delta, which validates only the delta and
-builds the child from its parent: the child's universe, level map, cached
-V_alpha tuples and fact sets are the parent's extended by the delta, and its
-neighbour index shares every neighbour set the delta leaves alone. The
-parent is not changed. Serialization is canonical JSON: byte-identical
-output for equal structures, exact round trips.
+A FinStructure never changes in place, and apply_delta is the only way one
+is made: it validates only the delta and builds the child from its parent.
+The child's universe, level map, cached V_alpha tuples and fact sets are the
+parent's extended by the delta. The constructor grows the empty structure by
+one delta, so element and fact checks live in one place. The parent is not
+changed. Serialization is canonical JSON: byte-identical output for equal
+structures, exact round trips.
 
 Every binary relation carries a neighbour index: for an argument position
-and an id, the ids at the other position (neighbours). restrict() gives the
-substructure induced on a set of ids. It keeps no index of its own but
-shares its source's, filtered to its own elements on lookup; that is exact
-because an induced substructure holds every fact among its elements.
+and an id, the ids at the other position (neighbours). A child shares every
+neighbour set of its parent that the delta leaves alone.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .formula import LevelOrdinal, Signature, parse_level
-
-# index[rel][pos][eid]: the ids at position 1 - pos of the rel facts with eid
-# at position pos; empty sides for relations that are not binary
-Index = dict[str, tuple[dict[int, frozenset[int]], dict[int, frozenset[int]]]]
 
 _NONE: frozenset[int] = frozenset()
 
@@ -50,11 +44,6 @@ class ExtensionDelta:
         return not self.new_elements and not self.new_facts
 
 
-def _check_id(eid: object) -> None:
-    if type(eid) is not int or eid < 0:
-        raise StructureError(f"element ids must be nonnegative ints, got {eid!r}")
-
-
 def _grow(sides, tups) -> tuple[dict[int, frozenset[int]], dict[int, frozenset[int]]]:
     """Both index sides of a binary relation extended by the facts tups. Only
     the ids the facts touch get new neighbour sets; the rest are shared."""
@@ -70,13 +59,6 @@ def _grow(sides, tups) -> tuple[dict[int, frozenset[int]], dict[int, frozenset[i
     return out[0], out[1]
 
 
-def _index(signature: Signature, rels: dict[str, frozenset[tuple[int, ...]]]) -> Index:
-    return {
-        name: _grow(({}, {}), rels[name]) if arity == 2 else ({}, {})
-        for name, arity in signature.relations
-    }
-
-
 def _merge(old: tuple[int, ...], new: tuple[int, ...]) -> tuple[int, ...]:
     """Two ascending id tuples as one; an append when new lies past old."""
     if not new:
@@ -88,11 +70,11 @@ def _merge(old: tuple[int, ...], new: tuple[int, ...]) -> tuple[int, ...]:
 
 class FinStructure:
     """Immutable finite structure: universe of int ids, per-element level,
-    relation interpretations, and a neighbour index per binary relation."""
+    relation interpretations, and a neighbour index per binary relation.
+    FinStructure(signature, elements, facts) is the empty structure grown by
+    one delta holding them all, so apply_delta does every check."""
 
-    __slots__ = (
-        "signature", "universe", "_level", "_rels", "_index", "_induced", "_vcache", "_key",
-    )
+    __slots__ = ("signature", "universe", "_level", "_rels", "_nbrs", "_vcache", "_key")
 
     def __init__(
         self,
@@ -100,41 +82,60 @@ class FinStructure:
         elements: tuple[tuple[int, LevelOrdinal], ...],
         facts: tuple[tuple[str, tuple[int, ...]], ...],
     ) -> None:
-        level: dict[int, LevelOrdinal] = {}
-        for eid, lvl in elements:
-            _check_id(eid)
-            if eid in level:
-                raise StructureError(f"duplicate element id {eid}")
-            level[eid] = lvl
-        rels: dict[str, set[tuple[int, ...]]] = {name: set() for name in signature.names()}
-        for rel, tup in facts:
-            if rel not in rels:
-                raise StructureError(f"unknown relation {rel!r}")
-            if len(tup) != signature.arity(rel):
-                raise StructureError(f"arity mismatch for {rel!r}: {tup}")
-            for eid in tup:
-                if type(eid) is not int or eid not in level:
-                    raise StructureError(f"fact {rel}{tup} mentions unknown element {eid!r}")
-            rels[rel].add(tuple(tup))
-        frozen = {name: frozenset(tups) for name, tups in rels.items()}
-        self._fill(signature, tuple(sorted(level)), level, frozen, _index(signature, frozen))
+        empty = object.__new__(FinStructure)
+        names = signature.names()
+        empty._fill(signature, (), {}, dict.fromkeys(names, frozenset()),
+                    {name: ({}, {}) for name in names}, {})
+        self._extend(empty, ExtensionDelta(tuple(elements), tuple(facts)))
 
-    def _fill(self, signature, universe, level, rels, index, induced=False, vcache=None) -> None:
+    def _fill(self, signature, universe, level, rels, nbrs, vcache) -> None:
         self.signature = signature
         self.universe = universe
         self._level = level
         self._rels = rels
-        self._index = index
-        self._induced = induced  # index shared with a larger structure
-        self._vcache: dict[LevelOrdinal, tuple[int, ...]] = {} if vcache is None else vcache
+        # _nbrs[rel][pos][eid]: the ids at position 1 - pos of the rel facts
+        # with eid at position pos; both sides stay empty unless rel is binary
+        self._nbrs = nbrs
+        self._vcache: dict[LevelOrdinal, tuple[int, ...]] = vcache
         self._key: Optional[tuple] = None
 
-    @classmethod
-    def _make(cls, *fields, **kw) -> "FinStructure":
-        """A structure from parts already checked: no validation, no copies."""
-        out = object.__new__(cls)
-        out._fill(*fields, **kw)
-        return out
+    def _extend(self, M: "FinStructure", delta: ExtensionDelta) -> None:
+        """Fill this structure as M grown by delta; see apply_delta."""
+        sig = M.signature
+        level = dict(M._level)
+        fresh = set()
+        for eid, lvl in delta.new_elements:
+            if type(eid) is not int or eid < 0:
+                raise StructureError(f"element ids must be nonnegative ints, got {eid!r}")
+            if eid in M._level:
+                raise StructureError(f"element id {eid} already in the universe")
+            if eid in fresh:
+                raise StructureError(f"duplicate element id {eid}")
+            fresh.add(eid)
+            level[eid] = lvl
+        added: dict[str, set[tuple[int, ...]]] = {}
+        for rel, tup in delta.new_facts:
+            if not sig.has(rel):
+                raise StructureError(f"unknown relation {rel!r}")
+            if not any(e in fresh for e in tup):
+                raise StructureError(f"fact {rel}{tup} touches no new element")
+            for e in tup:
+                if type(e) is not int or e not in level:
+                    raise StructureError(f"fact {rel}{tup} mentions unknown element {e!r}")
+            if len(tup) != sig.arity(rel):
+                raise StructureError(f"arity mismatch for {rel!r}: {tup}")
+            added.setdefault(rel, set()).add(tuple(tup))
+        new = tuple(sorted(fresh))
+        vcache = {
+            alpha: _merge(ids, tuple(e for e in new if level[e] <= alpha))
+            for alpha, ids in M._vcache.items()
+        }
+        rels, nbrs = dict(M._rels), dict(M._nbrs)
+        for name, tups in added.items():
+            rels[name] = rels[name] | tups
+            if sig.arity(name) == 2:
+                nbrs[name] = _grow(nbrs[name], tups)
+        self._fill(sig, _merge(M.universe, new), level, rels, nbrs, vcache)
 
     # -- queries ------------------------------------------------------------
 
@@ -155,11 +156,7 @@ class FinStructure:
         for pos 0 the e with rel(eid, e), for pos 1 the e with rel(e, eid).
         Empty for an id outside the universe and for a relation that is not
         binary; KeyError for an unknown relation."""
-        found = self._index[rel][pos].get(eid, _NONE)
-        if self._induced:
-            level = self._level
-            return frozenset(e for e in found if e in level) if eid in level else _NONE
-        return found
+        return self._nbrs[rel][pos].get(eid, _NONE)
 
     def v_ids(self, alpha: Optional[LevelOrdinal]) -> tuple[int, ...]:
         """Ids of V_alpha = elements at level <= alpha, ascending. Monotone in
@@ -178,21 +175,6 @@ class FinStructure:
 
     def size(self) -> int:
         return len(self.universe)
-
-    def restrict(self, ids: Iterable[int]) -> "FinStructure":
-        """The substructure induced on ids, which must lie in the universe:
-        their levels and every fact among them. It shares this structure's
-        neighbour index instead of building its own."""
-        keep = frozenset(ids)
-        if not keep <= self._level.keys():
-            raise StructureError(f"ids {sorted(keep - self._level.keys())} not in the universe")
-        universe = tuple(e for e in self.universe if e in keep)
-        rels = {
-            name: frozenset(t for t in tups if keep.issuperset(t))
-            for name, tups in self._rels.items()
-        }
-        level = {e: self._level[e] for e in universe}
-        return FinStructure._make(self.signature, universe, level, rels, self._index, True)
 
     def _eq_key(self) -> tuple:
         if self._key is None:
@@ -254,39 +236,7 @@ def apply_delta(structure: FinStructure, delta: ExtensionDelta) -> FinStructure:
     ids, facts among old elements only, unknown relations, arity mismatches,
     and dangling ids. Old levels are preserved verbatim; levels never move.
     Only the delta is checked: the parent is valid, and nothing it holds
-    changes."""
-    M, sig = structure, structure.signature
-    level = dict(M._level)
-    fresh = set()
-    for eid, lvl in delta.new_elements:
-        _check_id(eid)
-        if eid in M._level:
-            raise StructureError(f"new element id {eid} already in universe")
-        if eid in fresh:
-            raise StructureError(f"duplicate new element id {eid}")
-        fresh.add(eid)
-        level[eid] = lvl
-    added: dict[str, set[tuple[int, ...]]] = {}
-    for rel, tup in delta.new_facts:
-        if not sig.has(rel):
-            raise StructureError(f"unknown relation {rel!r}")
-        if not any(e in fresh for e in tup):
-            raise StructureError(f"new fact {rel}{tup} touches no new element")
-        for e in tup:
-            if type(e) is not int or e not in level:
-                raise StructureError(f"new fact {rel}{tup} mentions unknown element {e!r}")
-        if len(tup) != sig.arity(rel):
-            raise StructureError(f"arity mismatch for {rel!r}: {tup}")
-        added.setdefault(rel, set()).add(tuple(tup))
-    new = tuple(sorted(fresh))
-    vcache = {
-        alpha: _merge(ids, tuple(e for e in new if level[e] <= alpha))
-        for alpha, ids in M._vcache.items()
-    }
-    rels = {name: tups | added[name] if name in added else tups for name, tups in M._rels.items()}
-    index = dict(_index(sig, M._rels) if M._induced else M._index)
-    for name, tups in added.items():
-        if sig.arity(name) == 2:
-            index[name] = _grow(index[name], tups)
-    return FinStructure._make(sig, _merge(M.universe, new), level, rels, index, vcache=vcache)
-
+    changes. The child shares every neighbour set the delta leaves alone."""
+    child = object.__new__(FinStructure)
+    child._extend(structure, delta)
+    return child

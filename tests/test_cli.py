@@ -198,9 +198,16 @@ def _parent_format(doc):
     return doc
 
 
-def _set_internal(value):
+E0 = ("audits", 0, "entries", 0)  # stage 1's one entry: position 0 at fin0
+R0 = ("audits", 1, "entries", 1, "records", 0)  # a case-2 record of stage 2
+
+
+def _set_at(path, **fields):
     def edit(doc):
-        doc["audits"][0]["entries"][0]["internal"] = value
+        target = doc
+        for step in path:
+            target = target[step]
+        target.update(fields)
         return doc
     return edit
 
@@ -238,17 +245,35 @@ def _set_born(i, value):
         _set_born(0, None),
         _parent_format,
         lambda doc: {**doc, "format": 1},
-        _set_internal(-1),
-        _set_internal("3"),
-        _set_internal(True),
+        _set_at(E0, internal=-1),
+        _set_at(E0, internal="3"),
+        _set_at(E0, internal=True),
         _dangling_new_id,
+        _set_at(("audits", 0), stage=99),
+        _set_at(("audits", 0), stage=True),
+        _set_at(E0, position=-5),
+        _set_at(E0, position=1),
+        _set_at(E0, position="0"),
+        _set_at(E0, level="omega+0"),
+        _set_at(E0, skipped="x"),
+        _set_at(E0, skipped=-1),
+        _set_at(E0, skipped=False),
+        _set_at(R0, case=7),
+        _set_at(R0, a=[999]),
+        _set_at(R0, witness=[999]),
+        _set_at(R0, case=3),
+        _set_at(R0, case=3, witness=None),
+        _set_at(E0, internal=2),
     ],
     ids=[
         "list", "string", "old-format", "old-format-no-stages", "born-short",
         "born-long", "born-not-list", "born-past-n", "born-negative",
         "born-text", "born-float", "born-bool", "born-null",
         "format-absent", "format-1", "internal-negative", "internal-text",
-        "internal-bool", "new-id-dangling",
+        "internal-bool", "new-id-dangling", "stage-99", "stage-bool",
+        "position-negative", "position-past-stage", "position-text", "level-mismatch",
+        "skipped-text", "skipped-negative", "skipped-bool", "case-7", "a-dangling",
+        "witness-dangling", "case3-witness", "case3-new-ids", "counts-off",
     ],
 )
 def test_malformed_chain_file_is_a_usage_error(equiv_build, tmp_path, corrupt):

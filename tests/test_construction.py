@@ -210,7 +210,7 @@ def test_stage_entries_sorted_by_level_then_position(chains12):
     for chain in chains12.values():
         by_pos = {e.position: e for e in chain.schedule}
         for audit in chain.audits:
-            keys = [(ea.level._key(), ea.position) for ea in audit.entries]
+            keys = [(ea.level, ea.position) for ea in audit.entries]
             assert keys == sorted(keys)
             for ea in audit.entries:
                 assert by_pos[ea.position].level == ea.level
@@ -334,10 +334,11 @@ def test_chain_serialization_round_trip(chains12):
 
 @pytest.mark.parametrize("name", sorted(PLUGINS))
 def test_stage_view_matches_stage_by_stage_build(chains12, name):
-    """The stages view equals the structures a build_stage loop keeps, the
-    birth stamps and the audits (v_before derived on load) survive a file
-    round trip, and an embedding leaves stages 0..n-1 alone while its new
-    elements are born at stage n."""
+    """The replayed stages equal the structures a build_stage loop keeps,
+    each stage's neighbour index matches a scan of its facts, the birth
+    stamps and the audits (v_before derived on load) survive a file round
+    trip, and an embedding leaves stages 0..n-1 alone while its new elements
+    are born at stage n."""
     plugin, chain = get_plugin(name), chains12[name]
     schedule = tuple(seeded_schedule(plugin.signature, plugin.seeds(), 12, 4))
     kept, frontier = [build_m0(plugin)], {}
@@ -345,6 +346,14 @@ def test_stage_view_matches_stage_by_stage_build(chains12, name):
         M, _ = build_stage(plugin, kept[-1], schedule[:n], n, frontier)
         kept.append(M)
     assert list(chain.stages) == kept
+    for M in chain.stages:
+        for rel, pos in itertools.product(plugin.signature.names(), (0, 1)):
+            want: dict[int, set[int]] = {}
+            if plugin.signature.arity(rel) == 2:
+                for t in M.facts(rel):
+                    want.setdefault(t[pos], set()).add(t[1 - pos])
+            for e in M.universe + (M.max_id + 1,):
+                assert M.neighbours(rel, pos, e) == want.get(e, set())
     back = load_chain(serialize_chain(chain))
     assert back.born == chain.born and back.audits == chain.audits
 

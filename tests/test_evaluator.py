@@ -295,8 +295,13 @@ def test_indexed_search_matches_the_product_scan(text, order):
     for trial in range(6):
         M = _digraph(rng, 12, rng.choice((0.1, 0.25, 0.5)))
         if trial % 2:
-            # a stage view: shares the index of the structure it came from
-            M = M.restrict(rng.sample(M.universe, 8))
+            # an induced substructure, as a stage is of the final structure
+            keep = set(rng.sample(M.universe, 8))
+            M = FinStructure(
+                SIG,
+                tuple((e, M.level_of(e)) for e in sorted(keep)),
+                tuple(("E", t) for t in sorted(M.facts("E")) if keep.issuperset(t)),
+            )
         for cap in (None,) + ILEVELS:
             for vals in itertools.product(M.universe[:5], repeat=len(params)):
                 env = dict(zip(params, vals))

@@ -191,30 +191,27 @@ def test_apply_delta_matches_a_fresh_build(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_restriction_shares_an_exact_index(seed):
+def test_constructor_holds_exactly_its_input(seed):
+    """The constructor checked against its own input, not against another
+    structure that apply_delta built."""
     rng = random.Random(seed)
-    M = FinStructure(MSIG, ((0, fin(0)),), ())
-    for _ in range(8):
-        M = apply_delta(M, _random_delta(rng, M))
-    keep = sorted(rng.sample(M.universe, len(M.universe) // 2))
-    view = M.restrict(keep)
+    ids = rng.sample(range(40), 15)
+    levels = {e: rng.choice(MLEVELS) for e in ids}
     facts = [
-        (rel, t) for rel in MSIG.names() for t in sorted(M.facts(rel)) if set(t) <= set(keep)
+        (rel, tuple(rng.choice(ids) for _ in range(arity)))
+        for rel, arity in (rng.choice(MSIG.relations) for _ in range(40))
     ]
-    fresh = FinStructure(MSIG, tuple((e, M.level_of(e)) for e in keep), tuple(facts))
-    _assert_same(view, fresh)
-    # a delta on a view reuses ids the source holds, with other neighbours
-    delta = _random_delta(rng, view)
-    _assert_same(
-        apply_delta(view, delta),
-        FinStructure(
-            MSIG,
-            tuple((e, M.level_of(e)) for e in keep) + delta.new_elements,
-            tuple(facts) + delta.new_facts,
-        ),
-    )
-    with pytest.raises(StructureError):
-        M.restrict([M.max_id + 1])
+    M = FinStructure(MSIG, tuple(levels.items()), tuple(facts))
+    assert M.universe == tuple(sorted(ids))
+    assert {e: M.level_of(e) for e in M.universe} == levels
+    for alpha in MLEVELS:
+        assert M.v_ids(alpha) == tuple(sorted(e for e in ids if levels[e] <= alpha))
+    for rel, arity in MSIG.relations:
+        given = {t for r, t in facts if r == rel}
+        assert M.facts(rel) == given
+        for pos, e in itertools.product((0, 1), ids + [max(ids) + 1]):
+            want = {t[1 - pos] for t in given if arity == 2 and t[pos] == e}
+            assert M.neighbours(rel, pos, e) == want
 
 
 @pytest.mark.parametrize(
