@@ -219,8 +219,8 @@ def load_config(path: str) -> Config:
 def resolve_anchor(M: FinStructure, raw) -> int:
     """Element binding: a plain id, or "first_at_level <level>" for the
     least id sitting at exactly that level."""
-    if isinstance(raw, int):
-        if raw not in set(M.universe):
+    if type(raw) is int:
+        if raw not in M:
             raise ConfigError(f"element id {raw} not in the structure")
         return raw
     if isinstance(raw, str):

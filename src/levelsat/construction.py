@@ -19,12 +19,15 @@ witnesses at level alpha+1 can never land inside any V_beta with beta <=
 alpha, so the V_alpha sets only grow by earlier-level processing. That is
 also why the per-entry frontier cache is sound: a parameter tuple processed
 once never needs reprocessing, because quantifier-free truth over old
-elements is permanent and case-3 answers are final.
+elements is permanent and case-3 answers are final. New ids come last, so
+the V_alpha an entry's previous turn saw is a prefix of today's. A chain
+file keeps of each audit only the case-2 and case-3 records.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -38,6 +41,7 @@ from .formula import (
     Not,
     RelAtom,
     ScheduleEntry,
+    Signature,
     conjoin,
     fin,
     parse,
@@ -152,25 +156,20 @@ def build_stage(
     stage: int,
     frontier: dict,
 ) -> tuple[FinStructure, StageAudit]:
-    """Process the given schedule entries (stable-sorted by level) against
-    prev. frontier maps entry keys to the parameter ids already covered; it
-    is updated in place. Returns the new structure and the stage audit."""
+    """Process the given schedule entries in turn order against prev.
+    frontier maps an entry key to the V_alpha its previous turn saw; it is
+    updated in place. Returns the new structure and the stage audit."""
     M = prev
-    ordered = sorted(entries, key=lambda e: (e.level, e.position))
     audits = []
-    for entry in ordered:
+    for entry in sorted(entries, key=_turn):
         key = entry.key()
         alpha = entry.level
         succ = alpha.successor()
         v_now = M.v_ids(alpha)
-        covered = frontier.get(key, frozenset())
+        seen = frontier.get(key)
         k = len(entry.x_vars)
-        if covered:
-            # the tuples over covered elements only were done at an earlier stage
-            skipped = sum(e in covered for e in v_now) ** k
-            todo = _touching(v_now, covered, k)
-        else:
-            skipped, todo = 0, itertools.product(v_now, repeat=k)
+        skipped = _skipped(seen, k)
+        todo = itertools.product(v_now, repeat=k) if seen is None else _touching(v_now, len(seen), k)
         internal, records = 0, []
         for a_bar in todo:
             env = dict(zip(entry.x_vars, a_bar))
@@ -197,24 +196,36 @@ def build_stage(
             records.append(
                 CaseRecord(a_bar, 2, ext.witness, tuple(e for e, _ in ext.delta.new_elements))
             )
-        frontier[key] = covered | set(v_now)
+        frontier[key] = v_now
         audits.append(EntryAudit(entry.position, alpha, v_now, skipped, internal, tuple(records)))
     return M, StageAudit(stage, tuple(audits))
 
 
-def _touching(ids: tuple[int, ...], covered: frozenset[int], k: int) -> Iterable[tuple[int, ...]]:
-    """The k-tuples over ids with a component outside covered, in the
-    lexicographic order of itertools.product(ids, repeat=k), without
-    stepping through the tuples over covered elements only."""
-    fresh = [(e,) for e in ids if e not in covered]
+def _turn(entry: ScheduleEntry) -> tuple[LevelOrdinal, int]:
+    """A stage processes its entries by level, then by schedule position."""
+    return entry.level, entry.position
+
+
+def _skipped(seen: Optional[tuple[int, ...]], k: int) -> int:
+    """The skip rule: the k-tuples over the V_alpha an entry's previous turn
+    saw (None before its first turn) were processed then. New ids come last,
+    so that V_alpha is a prefix of today's."""
+    return 0 if seen is None else len(seen) ** k
+
+
+def _touching(ids: tuple[int, ...], p: int, k: int) -> Iterable[tuple[int, ...]]:
+    """The k-tuples over ids with a component outside the prefix ids[:p], in
+    the lexicographic order of itertools.product(ids, repeat=k), without
+    stepping through the tuples over the prefix only."""
+    fresh = [(e,) for e in ids[p:]]
 
     def rec(k: int) -> Iterable[tuple[int, ...]]:
         if k == 1:
             return fresh
         return (
             (e,) + tail
-            for e in ids
-            for tail in (rec(k - 1) if e in covered else itertools.product(ids, repeat=k - 1))
+            for i, e in enumerate(ids)
+            for tail in (rec(k - 1) if i < p else itertools.product(ids, repeat=k - 1))
         )
 
     return rec(k) if k else ()
@@ -411,7 +422,7 @@ def embed_model(
 # serialization
 
 
-CHAIN_FORMAT = 2
+CHAIN_FORMAT = 3
 
 
 def chain_to_doc(chain: StageChain) -> dict:
@@ -430,28 +441,19 @@ def chain_to_doc(chain: StageChain) -> dict:
         ],
         "final": chain.final.to_doc(),
         "born": list(chain.born),
-        "audits": [
-            {
-                "stage": a.stage,
-                "entries": [
+        "records": [
+            [
+                [
                     {
-                        "position": ea.position,
-                        "level": ea.level.render(),
-                        "skipped": ea.skipped,
-                        "internal": ea.internal,
-                        "records": [
-                            {
-                                "a": list(r.a_tuple),
-                                "case": r.case,
-                                "witness": list(r.witness) if r.witness is not None else None,
-                                "new_ids": list(r.new_ids),
-                            }
-                            for r in ea.records
-                        ],
+                        "a": list(r.a_tuple),
+                        "case": r.case,
+                        "witness": list(r.witness) if r.witness is not None else None,
+                        "new_ids": list(r.new_ids),
                     }
-                    for ea in a.entries
-                ],
-            }
+                    for r in ea.records
+                ]
+                for ea in a.entries
+            ]
             for a in chain.audits
         ],
     }
@@ -462,68 +464,72 @@ def serialize_chain(chain: StageChain) -> str:
 
 
 def chain_from_doc(doc: dict) -> StageChain:
-    """Inverse of chain_to_doc, which leaves out each entry's v_before. Ids
-    are handed out as max_id + 1, so the structure an entry saw is final cut
-    down to the ids up to a watermark: the largest id that M0 or an earlier
-    case-2 record created. Its v_before is V_alpha of that cut. Every audit
-    must sit at its own stage, every entry must name one of its stage's
-    schedule entries at that entry's level, and its counts must add up to
-    |v_before|^k."""
+    """Inverse of chain_to_doc, whose records[i] holds stage i+1's case-2
+    and case-3 records, one list per entry in turn order; the schedule gives
+    each entry's position and level. Ids are handed out as max_id + 1, so
+    the structure an entry saw is final cut down to the ids up to a
+    watermark: the largest id that M0 or an earlier case-2 record created.
+    Its v_before is V_alpha of that cut, skipped follows by the skip rule,
+    and internal, what is left of |v_before|^k, must not be negative."""
     if not isinstance(doc, dict):
         raise ConstructionError("a chain must be a JSON object")
     fmt = doc.get("format")
     if type(fmt) is not int or fmt != CHAIN_FORMAT:
         raise ConstructionError(f"need chain format {CHAIN_FORMAT}, got {fmt!r}")
-    missing = {"plugin", "schedule", "final", "born", "audits"} - doc.keys()
+    missing = {"plugin", "schedule", "final", "born", "records"} - doc.keys()
     if missing:
         raise ConstructionError(f"missing keys {sorted(missing)}")
     final = FinStructure.from_doc(doc["final"])
-    born, n = doc["born"], len(doc["audits"])
+    born, stages = doc["born"], doc["records"]
+    if not isinstance(stages, list):
+        raise ConstructionError("records must be a list with one list per stage")
+    n = len(stages)
     if not isinstance(born, list) or len(born) != final.size():
         raise ConstructionError(f"need one birth stage per element, {final.size()} in all")
     if not all(type(b) is int and 0 <= b <= n for b in born):
         raise ConstructionError(f"birth stages must be integers in [0, {n}]")
-    sig = final.signature
-    schedule = tuple(
-        ScheduleEntry(
-            parse(d["formula"], sig),
-            tuple(d["x_vars"]),
-            tuple(d["y_vars"]),
-            parse_level(d["level"]),
-            d["position"],
-        )
-        for d in doc["schedule"]
-    )
-    place = {e.position: i for i, e in enumerate(schedule)}
+    schedule = tuple(_entry_from_doc(d, final.signature) for d in doc["schedule"])
+    if len(schedule) < n:
+        raise ConstructionError(f"{n} stages need {n} schedule entries, got {len(schedule)}")
+    keys = [e.key() for e in schedule]
+    frontier: dict = {}
     watermark = max((e for e, b in zip(final.universe, born) if b == 0), default=-1)
     audits = []
-    for stage, a in enumerate(doc["audits"], 1):
-        if type(a["stage"]) is not int or a["stage"] != stage:
-            raise ConstructionError(f"audit {stage} claims stage {a['stage']!r}")
+    for stage, lists in enumerate(stages, 1):
+        if not isinstance(lists, list) or len(lists) != stage:
+            raise ConstructionError(f"stage {stage} needs a list of {stage} record lists")
         entries = []
-        for ea in a["entries"]:
-            pos = ea["position"]
-            if type(pos) is not int or place.get(pos, stage) >= stage:
-                raise ConstructionError(f"stage {stage} has no schedule position {pos!r}")
-            entry = schedule[place[pos]]
-            if ea["level"] != entry.level.render():
-                raise ConstructionError(f"position {pos} is at {entry.level}, not {ea['level']!r}")
-            skipped, internal = ea["skipped"], ea["internal"]
-            if not all(type(c) is int and c >= 0 for c in (skipped, internal)):
-                raise ConstructionError(
-                    f"skipped and internal must be integers >= 0, got {skipped!r}, {internal!r}"
-                )
-            vids = final.v_ids(entry.level)
+        for i, recs in zip(sorted(range(stage), key=lambda j: _turn(schedule[j])), lists):
+            if not isinstance(recs, list):
+                raise ConstructionError(f"stage {stage} has a record list that is not a list")
+            entry = schedule[i]
+            k, vids = len(entry.x_vars), final.v_ids(entry.level)
             v_before = vids[: bisect_right(vids, watermark)]
-            records = tuple(_record_from_doc(r, final) for r in ea["records"])
-            if skipped + internal + len(records) != len(v_before) ** len(entry.x_vars):
+            records = tuple(_record_from_doc(r, final) for r in recs)
+            skipped = _skipped(frontier.get(keys[i]), k)
+            frontier[keys[i]] = v_before
+            internal = len(v_before) ** k - skipped - len(records)
+            if internal < 0:
                 raise ConstructionError(
-                    f"stage {stage}, position {pos}: counts do not add up to |V_alpha|^k"
+                    f"stage {stage}, position {entry.position}: more records than tuples"
                 )
-            entries.append(EntryAudit(pos, entry.level, v_before, skipped, internal, records))
+            entries.append(
+                EntryAudit(entry.position, entry.level, v_before, skipped, internal, records)
+            )
             watermark = max((watermark, *(e for r in records for e in r.new_ids)))
         audits.append(StageAudit(stage, tuple(entries)))
     return StageChain(doc["plugin"], schedule, final, tuple(born), tuple(audits))
+
+
+def _entry_from_doc(d: dict, sig: Signature) -> ScheduleEntry:
+    """A schedule entry with text formula and level, lists of text for the
+    variables and an integer position."""
+    text, xs, ys, level, pos = (d[f] for f in ("formula", "x_vars", "y_vars", "level", "position"))
+    if not (isinstance(text, str) and isinstance(level, str) and type(pos) is int):
+        raise ConstructionError("schedule entries need text formula and level, integer position")
+    if not all(isinstance(v, list) and all(isinstance(s, str) for s in v) for v in (xs, ys)):
+        raise ConstructionError("schedule x_vars and y_vars must be lists of text")
+    return ScheduleEntry(parse(text, sig), tuple(xs), tuple(ys), parse_level(level), pos)
 
 
 def _record_from_doc(r: dict, final: FinStructure) -> CaseRecord:
@@ -543,6 +549,4 @@ def _record_from_doc(r: dict, final: FinStructure) -> CaseRecord:
 
 
 def load_chain(text: str) -> StageChain:
-    import json
-
     return chain_from_doc(json.loads(text))

@@ -36,26 +36,26 @@ from .formula import (
 from .structures import FinStructure, apply_delta
 from .theory import TheoryPlugin
 
+_MAX_POOL = 10_000  # same-type tuples kept by _matching_tuples
+_LITERAL_CAP = 300_000  # largest multiset space covering_check enumerates
+_SAMPLES = 200  # random families covering_check tries
+
 
 def _matching_tuples(
-    M: FinStructure,
-    a_ids: tuple[int, ...],
-    b_ids: tuple[int, ...],
-    max_pool: int,
-    seed: int,
+    M: FinStructure, a_ids: tuple[int, ...], b_ids: tuple[int, ...], seed: int
 ) -> list[tuple[int, ...]]:
     """All tuples with the quantifier-free type of b_ids over a_ids, in
     ascending order; a seeded sample (always keeping b_ids) when there are
-    more than max_pool."""
+    more than _MAX_POOL."""
     target = diag_key(M, a_ids + b_ids)
     pool = [
         c
         for c in itertools.product(M.universe, repeat=len(b_ids))
         if diag_key(M, a_ids + c) == target
     ]
-    if len(pool) > max_pool:
+    if len(pool) > _MAX_POOL:
         rng = random.Random(seed)
-        keep = set(rng.sample(range(len(pool)), max_pool - 1))
+        keep = set(rng.sample(range(len(pool)), _MAX_POOL - 1))
         keep.add(pool.index(b_ids))
         pool = [c for i, c in enumerate(pool) if i in keep]
     return pool
@@ -148,7 +148,6 @@ def certify_dividing(
     k: int,
     L: int,
     *,
-    max_pool: int = 10_000,
     seed: int = 0,
 ) -> Optional[DividesWitness]:
     """Search for a k-inconsistent family of L instances of phi along the
@@ -187,7 +186,7 @@ def certify_dividing(
         confirmations.extend(fresh)
         return True
 
-    for c in _matching_tuples(M, a_ids, b_ids, max_pool, seed):
+    for c in _matching_tuples(M, a_ids, b_ids, seed):
         if admit(c, M):
             family.append(c)
             if len(family) >= L:
@@ -275,7 +274,6 @@ def find_dimension_drop(
     *,
     window: int = 10,
     bound: float = 2.0,
-    max_candidates: int = 10_000,
     seed: int = 0,
 ) -> DropReport:
     """Compare the growth of phi(x; c) against the ambient set psi for every
@@ -306,7 +304,7 @@ def find_dimension_drop(
     window_start = t2.end_stage - window + 1
     entries: list[DropEntry] = []
     skipped: list[tuple[int, ...]] = []
-    pool = _matching_tuples(final, a_ids, b_ids, max_candidates, seed)
+    pool = _matching_tuples(final, a_ids, b_ids, seed)
     for c in pool:
         t1 = trend(chain, dset(c))
         if t1.start_stage > window_start:
@@ -380,8 +378,6 @@ def covering_check(
     K: int,
     k: int,
     *,
-    literal_cap: int = 300_000,
-    samples: int = 200,
     seed: int = 0,
 ) -> CoveringReport:
     """Verify the covering bound on {0, .., s_size - 1} with part size
@@ -407,7 +403,7 @@ def covering_check(
 
     n_subsets = math.comb(s_size, m)
     literal_checked = 0
-    if math.comb(n_subsets + L - 1, L) <= literal_cap:
+    if math.comb(n_subsets + L - 1, L) <= _LITERAL_CAP:
         all_subsets = list(itertools.combinations(range(s_size), m))
         for fam in itertools.combinations_with_replacement(all_subsets, L):
             if not _family_has_k_sharing(list(fam), k):
@@ -419,7 +415,7 @@ def covering_check(
 
     rng = random.Random(seed)
     samples_checked = 0
-    for _ in range(samples):
+    for _ in range(_SAMPLES):
         fam = [tuple(sorted(rng.sample(range(s_size), m))) for _ in range(L)]
         if not _family_has_k_sharing(fam, k):
             return CoveringReport(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Optional, Sequence
 
-from .evaluator import backtrack, evaluate, truth
+from .evaluator import DefinableSet, backtrack, solutions, truth
 from .formula import (
     And,
     Formula,
@@ -117,13 +117,11 @@ class TheoryPlugin(abc.ABC):
     def validate_t_forall(self, M: FinStructure) -> list[AxiomViolation]:
         """All violations of the universal axioms in M; empty means M is a
         legal partial model."""
-        out = []
-        for ax in self.universal_axioms:
-            for tup in itertools.product(M.universe, repeat=len(ax.x_vars)):
-                env = dict(zip(ax.x_vars, tup))
-                if not evaluate(M, ax.formula, env):
-                    out.append(AxiomViolation(ax.name, tup))
-        return out
+        return [
+            AxiomViolation(ax.name, tup)
+            for ax in self.universal_axioms
+            for tup in solutions(M, DefinableSet(Not(ax.formula), ax.x_vars))
+        ]
 
     # -- oracle entry points ---------------------------------------------------
 
@@ -178,7 +176,7 @@ class TheoryPlugin(abc.ABC):
         base = M.max_id + 1
         def resolve(t: int) -> int:
             return t if t >= 0 else base + (-t - 1)
-        k = -min((t for t in env.values() if t < 0), default=0)
+        k = _markers(env)
         delta = ExtensionDelta(
             tuple((base + j, level_for_new) for j in range(k)),
             tuple((rel, tuple(resolve(t) for t in terms)) for rel, terms in facts),

@@ -187,19 +187,9 @@ def _old_format(doc):
     return doc
 
 
-def _parent_format(doc):
-    """The layout before format 2: no format key, and a v_before list in
-    place of each entry's internal count."""
-    del doc["format"]
-    for audit in doc["audits"]:
-        for ea in audit["entries"]:
-            del ea["internal"]
-            ea["v_before"] = [0]
-    return doc
-
-
-E0 = ("audits", 0, "entries", 0)  # stage 1's one entry: position 0 at fin0
-R0 = ("audits", 1, "entries", 1, "records", 0)  # a case-2 record of stage 2
+S0 = ("schedule", 0)  # schedule entry 0: E(x0, x0) at fin0, stage 1's one entry
+R0 = ("records", 1, 1, 0)  # a case-2 record of stage 2
+CASE3 = {"a": [0], "case": 3, "witness": None, "new_ids": []}
 
 
 def _set_at(path, **fields):
@@ -212,10 +202,15 @@ def _set_at(path, **fields):
     return edit
 
 
+def _set_stage(i, value):
+    def edit(doc):
+        doc["records"][i] = value
+        return doc
+    return edit
+
+
 def _dangling_new_id(doc):
-    rec = next(
-        r for a in doc["audits"] for ea in a["entries"] for r in ea["records"] if r["new_ids"]
-    )
+    rec = next(r for stage in doc["records"] for recs in stage for r in recs if r["new_ids"])
     rec["new_ids"][0] = max(e for e, _ in doc["final"]["elements"]) + 1
     return doc
 
@@ -243,37 +238,39 @@ def _set_born(i, value):
         _set_born(0, 1.0),
         _set_born(0, True),
         _set_born(0, None),
-        _parent_format,
+        lambda doc: {k: v for k, v in doc.items() if k != "format"},
         lambda doc: {**doc, "format": 1},
-        _set_at(E0, internal=-1),
-        _set_at(E0, internal="3"),
-        _set_at(E0, internal=True),
+        lambda doc: {**doc, "format": 2},
+        _set_stage(0, [[CASE3, CASE3]]),
         _dangling_new_id,
-        _set_at(("audits", 0), stage=99),
-        _set_at(("audits", 0), stage=True),
-        _set_at(E0, position=-5),
-        _set_at(E0, position=1),
-        _set_at(E0, position="0"),
-        _set_at(E0, level="omega+0"),
-        _set_at(E0, skipped="x"),
-        _set_at(E0, skipped=-1),
-        _set_at(E0, skipped=False),
+        _set_at(S0, position="0"),
+        _set_at(S0, position=True),
+        _set_at(S0, level=5),
+        _set_at(S0, formula=["E(x0, x0)"]),
+        _set_at(S0, x_vars="x0"),
+        _set_at(S0, y_vars=[0]),
+        lambda doc: {**doc, "schedule": doc["schedule"][:29]},
+        lambda doc: {**doc, "records": {}},
+        _set_stage(0, []),
+        _set_stage(0, [[], []]),
+        _set_stage(0, {"0": []}),
+        _set_stage(0, ["records"]),
         _set_at(R0, case=7),
         _set_at(R0, a=[999]),
         _set_at(R0, witness=[999]),
         _set_at(R0, case=3),
         _set_at(R0, case=3, witness=None),
-        _set_at(E0, internal=2),
     ],
     ids=[
         "list", "string", "old-format", "old-format-no-stages", "born-short",
         "born-long", "born-not-list", "born-past-n", "born-negative",
         "born-text", "born-float", "born-bool", "born-null",
-        "format-absent", "format-1", "internal-negative", "internal-text",
-        "internal-bool", "new-id-dangling", "stage-99", "stage-bool",
-        "position-negative", "position-past-stage", "position-text", "level-mismatch",
-        "skipped-text", "skipped-negative", "skipped-bool", "case-7", "a-dangling",
-        "witness-dangling", "case3-witness", "case3-new-ids", "counts-off",
+        "format-absent", "format-1", "format-2", "internal-negative",
+        "new-id-dangling", "position-text", "position-bool", "level-number",
+        "formula-list", "x-vars-text", "y-vars-numbers", "schedule-short",
+        "records-not-list", "stage-missing-list", "stage-extra-list",
+        "stage-not-list", "entry-not-list", "case-7", "a-dangling",
+        "witness-dangling", "case3-witness", "case3-new-ids",
     ],
 )
 def test_malformed_chain_file_is_a_usage_error(equiv_build, tmp_path, corrupt):
@@ -365,6 +362,28 @@ def test_malformed_config_shape_is_a_usage_error(tmp_path, key, value):
     proc = run_cli("schedule", "--config", cfg, "--count", 1)
     assert proc.returncode == 2
     assert f"{key} must be a" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["dim", "divide"])
+def test_bool_element_binding_is_a_usage_error(equiv_build, tmp_path, command):
+    """true is no element id, although Python counts it as the int 1."""
+    out, _ = equiv_build
+    doc = yaml.safe_load((CONFIGS / "equivalence_drop.yaml").read_text())
+    if command == "dim":
+        doc["sets"]["class_of_b"]["params"]["y0"] = True
+    else:
+        doc["dividing"][0]["b"] = [True]
+    cfg = tmp_path / "bool.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    proc = run_cli(
+        command,
+        "--config", cfg,
+        "--chain", out / "generic_equivalence.chain.json",
+        "--out-dir", tmp_path,
+    )
+    assert proc.returncode == 2
+    assert "bad element binding True" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

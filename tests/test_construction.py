@@ -122,16 +122,18 @@ def test_reprocessing_fires_case1():
     assert ea3.skipped == 1 and ea3.records == ()
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("covered", [(), (0,), (1, 3), (0, 1, 2, 3, 4), (9,)])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("covered", [(), (0,), (0, 1), (0, 1, 2, 3, 4), (0, 1, 2, 3)])
 def test_stage_skips_exactly_the_covered_tuples(k, covered):
     """The tuples a stage processes, in order, and its skip count, against
-    the filtered product over V_alpha. The formula is unrealizable, so
-    every processed tuple leaves a case-3 record."""
-    text = " & ".join(f"!(y0 = x{i})" for i in range(k)) + " & !(y0 = y0)"
+    the filtered product over V_alpha, when the entry's previous turn saw
+    the prefix covered of it (none: this is its first turn). The formula is
+    unrealizable, so every processed tuple leaves a case-3 record. A k=0
+    entry has one tuple, processed on its first turn only."""
+    text = " & ".join([f"!(y0 = x{i})" for i in range(k)] + ["!(y0 = y0)"])
     entry = _entry(ISET, text, fin(0))
     M = FinStructure(ISET.signature, tuple((e, fin(0)) for e in range(5)), ())
-    frontier = {entry.key(): frozenset(covered)} if covered else {}
+    frontier = {entry.key(): covered} if covered else {}
     _, audit = build_stage(ISET, M, (entry,), 1, frontier)
     (ea,) = audit.entries
     done = [
@@ -141,6 +143,7 @@ def test_stage_skips_exactly_the_covered_tuples(k, covered):
     assert [r.a_tuple for r in ea.records] == done
     assert ea.internal == 0
     assert ea.skipped == 5**k - len(done)
+    assert frontier == {entry.key(): M.universe}
 
 
 def test_unrealizable_entry_fires_case3_everywhere():
@@ -241,6 +244,19 @@ def _first_new_element(chain):
     raise AssertionError("no case-2 record in the chain")
 
 
+def test_each_turn_sees_a_prefix_of_the_next(chains12):
+    """The skip rule rests on this: between two turns of an entry, its
+    V_alpha grows only at the end."""
+    for chain in chains12.values():
+        key = {e.position: e.key() for e in chain.schedule}
+        seen = {}
+        for audit in chain.audits:
+            for ea in audit.entries:
+                prev = seen.get(key[ea.position], ())
+                assert ea.v_before[: len(prev)] == prev
+                seen[key[ea.position]] = ea.v_before
+
+
 def test_level_freeze_catches_a_moved_level(chains12):
     chain = chains12["generic_equivalence"]
     stage, alpha, e = _first_new_element(chain)
@@ -330,6 +346,15 @@ def test_chain_serialization_round_trip(chains12):
     assert back.audits == chain.audits
     assert [e.key() for e in back.schedule] == [e.key() for e in chain.schedule]
     assert serialize_chain(back) == text
+
+
+@pytest.mark.parametrize("fixture", ["equiv30", "iset30", "rado30"])
+def test_30_stage_chain_round_trip(request, fixture):
+    """The audits derived on load equal the ones the build kept, over
+    enough stages for entries to take many turns."""
+    chain = request.getfixturevalue(fixture)
+    back = load_chain(serialize_chain(chain))
+    assert back.born == chain.born and back.audits == chain.audits
 
 
 @pytest.mark.parametrize("name", sorted(PLUGINS))

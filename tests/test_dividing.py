@@ -188,5 +188,5 @@ def test_random_graph_drops_are_never_certified(rado30):
     assert rep.entries
     flagged = rep.best
     assert flagged is None or certify_dividing(
-        RADO, rado30, phi, (), flagged.instance, k=2, L=3, max_pool=40
+        RADO, rado30, phi, (), flagged.instance, k=2, L=3
     ) is None
