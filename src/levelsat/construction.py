@@ -10,7 +10,10 @@ V_alpha (snapshot taken when the entry's turn starts, lexicographic order):
   case 2: no internal witness, but the theory oracle can realize phi in an
           extension; its witness is applied, new elements entering at exactly
           alpha+1, old witness components restricted to V_{alpha+1} so the
-          witness itself lies inside V_{alpha+1}.
+          witness itself lies inside V_{alpha+1}. The oracle starts at one
+          fresh element (min_new=1), and that is exact: its pass with none
+          would search its pool, V_{alpha+1} plus the parameters, which lie
+          in V_alpha, so exactly the ids where find_witness just failed.
   case 3: the oracle reports phi(a-bar, y-bar) unrealizable; unchanged. This
           verdict is final: extensions only shrink what is realizable.
 
@@ -20,8 +23,10 @@ alpha, so the V_alpha sets only grow by earlier-level processing. That is
 also why the per-entry frontier cache is sound: a parameter tuple processed
 once never needs reprocessing, because quantifier-free truth over old
 elements is permanent and case-3 answers are final. New ids come last, so
-the V_alpha an entry's previous turn saw is a prefix of today's. A chain
-file keeps of each audit only the case-2 and case-3 records.
+the V_alpha an entry's previous turn saw is a prefix of today's. A stage
+grows one thawed copy of the previous structure in place, so a case-2 step
+costs the same at any |M|. A chain file keeps of each audit only the case-2
+and case-3 records.
 """
 
 from __future__ import annotations
@@ -158,14 +163,16 @@ def build_stage(
 ) -> tuple[FinStructure, StageAudit]:
     """Process the given schedule entries in turn order against prev.
     frontier maps an entry key to the V_alpha its previous turn saw; it is
-    updated in place. Returns the new structure and the stage audit."""
-    M = prev
+    updated in place. Returns the new structure and the stage audit. prev
+    is not changed: the stage grows one thawed copy of it in place, one
+    delta at a time, and freezes it at the end."""
+    M = prev._thawed()
     audits = []
     for entry in sorted(entries, key=_turn):
         key = entry.key()
         alpha = entry.level
         succ = alpha.successor()
-        v_now = M.v_ids(alpha)
+        v_now = tuple(M.v_ids(alpha))
         seen = frontier.get(key)
         k = len(entry.x_vars)
         skipped = _skipped(seen, k)
@@ -176,8 +183,11 @@ def build_stage(
             if find_witness(M, entry.formula, env, entry.y_vars, succ) is not None:
                 internal += 1
                 continue
+            # find_witness has just searched V_{alpha+1}, the oracle's old ids
             args = (M, entry.formula, a_bar, succ)
-            kw = dict(x_vars=entry.x_vars, y_vars=entry.y_vars, allowed_old=M.v_ids(succ))
+            kw = dict(
+                x_vars=entry.x_vars, y_vars=entry.y_vars, allowed_old=M.v_ids(succ), min_new=1
+            )
             ext = plugin.extends_with_witness(*args, **kw)
             if plugin.extends_with_witness(*args, **kw) != ext:
                 raise InternalFaultError(
@@ -186,7 +196,7 @@ def build_stage(
             if ext is None:
                 records.append(CaseRecord(a_bar, 3, None))
                 continue
-            M = apply_delta(M, ext.delta)
+            M._extend(ext.delta)
             wenv = dict(env)
             wenv.update(zip(entry.y_vars, ext.witness))
             if not evaluate(M, entry.formula, wenv):
@@ -198,7 +208,7 @@ def build_stage(
             )
         frontier[key] = v_now
         audits.append(EntryAudit(entry.position, alpha, v_now, skipped, internal, tuple(records)))
-    return M, StageAudit(stage, tuple(audits))
+    return M._freeze(), StageAudit(stage, tuple(audits))
 
 
 def _turn(entry: ScheduleEntry) -> tuple[LevelOrdinal, int]:
@@ -249,16 +259,15 @@ def build_chain(
     if len(schedule) < n_stages:
         raise ConstructionError(f"schedule has {len(schedule)} entries, need {n_stages}")
     M = build_m0(plugin)
-    born_at = dict.fromkeys(M.universe, 0)
+    born = [0] * M.size()
     audits = []
     frontier: dict = {}
     for n in range(1, n_stages + 1):
         M, audit = build_stage(plugin, M, schedule[:n], n, frontier)
-        for e in M.universe:
-            born_at.setdefault(e, n)
+        # the oracle hands out ids past the largest, so stage n's come last
+        born += [n] * (M.size() - len(born))
         audits.append(audit)
-    born = tuple(born_at[e] for e in M.universe)
-    return StageChain(plugin.name, tuple(schedule), M, born, tuple(audits))
+    return StageChain(plugin.name, tuple(schedule), M, tuple(born), tuple(audits))
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +355,18 @@ def check_level_freeze(chain: StageChain) -> list[tuple[int, int, str, str]]:
     M, born_at = chain.final, chain.born_at
     for audit in chain.audits:
         for ea in audit.entries:
-            expected = f"{ea.level.successor().render()} at stage {audit.stage}"
             for rec in ea.records:
                 for e in rec.new_ids:
-                    actual = (
-                        f"{M.level_of(e).render()} at stage {born_at[e]}"
-                        if e in M else "absent"
-                    )
+                    expected = (ea.level.successor(), audit.stage)
+                    actual = (M.level_of(e), born_at[e]) if e in M else None
                     if actual != expected:
-                        out.append((audit.stage, e, expected, actual))
+                        shown = _at(*actual) if actual else "absent"
+                        out.append((audit.stage, e, _at(*expected), shown))
     return out
+
+
+def _at(level: LevelOrdinal, stage: int) -> str:
+    return f"{level.render()} at stage {stage}"
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +481,14 @@ def chain_from_doc(doc: dict) -> StageChain:
     the structure an entry saw is final cut down to the ids up to a
     watermark: the largest id that M0 or an earlier case-2 record created.
     Its v_before is V_alpha of that cut, skipped follows by the skip rule,
-    and internal, what is left of |v_before|^k, must not be negative."""
+    and internal is what the skips and records leave of |v_before|^k.
+
+    The cut is exact only if birth stamps never decrease in id order, so a
+    file where they do is rejected. So is a record whose parameter tuple its
+    entry did not process, that is not a k-tuple over v_before with a
+    component past the previous turn's prefix, or that breaks the
+    lexicographic order of the entry's records; and a case-2 record whose
+    new ids check_level_freeze rejects."""
     if not isinstance(doc, dict):
         raise ConstructionError("a chain must be a JSON object")
     fmt = doc.get("format")
@@ -488,6 +506,8 @@ def chain_from_doc(doc: dict) -> StageChain:
         raise ConstructionError(f"need one birth stage per element, {final.size()} in all")
     if not all(type(b) is int and 0 <= b <= n for b in born):
         raise ConstructionError(f"birth stages must be integers in [0, {n}]")
+    if any(b > c for b, c in zip(born, born[1:])):
+        raise ConstructionError("birth stages must not decrease in id order")
     schedule = tuple(_entry_from_doc(d, final.signature) for d in doc["schedule"])
     if len(schedule) < n:
         raise ConstructionError(f"{n} stages need {n} schedule entries, got {len(schedule)}")
@@ -506,19 +526,37 @@ def chain_from_doc(doc: dict) -> StageChain:
             k, vids = len(entry.x_vars), final.v_ids(entry.level)
             v_before = vids[: bisect_right(vids, watermark)]
             records = tuple(_record_from_doc(r, final) for r in recs)
-            skipped = _skipped(frontier.get(keys[i]), k)
+            seen = frontier.get(keys[i])
+            skipped = _skipped(seen, k)
+            floor = seen[-1] if seen else -1
+            for j, r in enumerate(records):
+                a = r.a_tuple
+                if not (
+                    len(a) == k
+                    and all(e <= watermark and final.level_of(e) <= entry.level for e in a)
+                    and (seen is None or max(a, default=-1) > floor)
+                    and (j == 0 or records[j - 1].a_tuple < a)
+                ):
+                    raise ConstructionError(
+                        f"stage {stage}, position {entry.position}: record {list(a)} "
+                        "is not the next tuple the entry processed"
+                    )
             frontier[keys[i]] = v_before
+            # distinct processed tuples: never more than the tuples left
             internal = len(v_before) ** k - skipped - len(records)
-            if internal < 0:
-                raise ConstructionError(
-                    f"stage {stage}, position {entry.position}: more records than tuples"
-                )
             entries.append(
                 EntryAudit(entry.position, entry.level, v_before, skipped, internal, records)
             )
             watermark = max((watermark, *(e for r in records for e in r.new_ids)))
         audits.append(StageAudit(stage, tuple(entries)))
-    return StageChain(doc["plugin"], schedule, final, tuple(born), tuple(audits))
+    chain = StageChain(doc["plugin"], schedule, final, tuple(born), tuple(audits))
+    moved = check_level_freeze(chain)
+    if moved:
+        stage, e, expected, actual = moved[0]
+        raise ConstructionError(
+            f"stage {stage}: new element {e} should be {expected}, found {actual}"
+        )
+    return chain
 
 
 def _entry_from_doc(d: dict, sig: Signature) -> ScheduleEntry:

@@ -1,12 +1,13 @@
 """Finite relational structures with level assignments, and one-step deltas.
 
-A FinStructure never changes in place, and apply_delta is the only way one
-is made: it validates only the delta and builds the child from its parent.
-The child's universe, level map, cached V_alpha tuples and fact sets are the
-parent's extended by the delta. The constructor grows the empty structure by
-one delta, so element and fact checks live in one place. The parent is not
-changed. Serialization is canonical JSON: byte-identical output for equal
-structures, exact round trips.
+A FinStructure that a caller holds never changes, and apply_delta is how one
+grows: it validates only the delta and returns a child, leaving the parent
+as it was. The constructor grows the empty structure by one delta, so
+element and fact checks live in one place (_extend). A builder that makes
+many steps, such as construction.build_stage, thaws one copy, grows it in
+place through the same _extend in time linear in each delta, and freezes it
+before anyone else sees it. Serialization is canonical JSON: byte-identical
+output for equal structures, exact round trips.
 
 Every binary relation carries a neighbour index: for an argument position
 and an id, the ids at the other position (neighbours). A child shares every
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import AbstractSet, Optional, Sequence
 
 from .formula import LevelOrdinal, Signature, parse_level
 
@@ -44,35 +45,35 @@ class ExtensionDelta:
         return not self.new_elements and not self.new_facts
 
 
-def _grow(sides, tups) -> tuple[dict[int, frozenset[int]], dict[int, frozenset[int]]]:
-    """Both index sides of a binary relation extended by the facts tups. Only
-    the ids the facts touch get new neighbour sets; the rest are shared."""
-    out = []
-    for pos, side in enumerate(sides):
-        add: dict[int, set[int]] = {}
-        for t in tups:
-            add.setdefault(t[pos], set()).add(t[1 - pos])
-        grown = dict(side)
-        for eid, others in add.items():
-            grown[eid] = side.get(eid, _NONE) | others
-        out.append(grown)
-    return out[0], out[1]
+def _merge_into(ids: list[int], new: list[int]) -> None:
+    """Add the ascending ids new to the ascending list ids, in place; an
+    append when new lies past ids."""
+    if new:
+        tail = not ids or new[0] > ids[-1]
+        ids.extend(new)
+        if not tail:
+            ids.sort()
 
 
-def _merge(old: tuple[int, ...], new: tuple[int, ...]) -> tuple[int, ...]:
-    """Two ascending id tuples as one; an append when new lies past old."""
-    if not new:
-        return old
-    if not old or new[0] > old[-1]:
-        return old + new
-    return tuple(sorted(old + new))
+def _link(side: dict, e: int, other: int) -> None:
+    """Add other to e's neighbour set on one index side, first replacing a
+    frozen set, which the parent may share, by a set of its own."""
+    s = side.get(e)
+    if type(s) is not set:
+        s = side[e] = set(s or ())
+    s.add(other)
 
 
 class FinStructure:
-    """Immutable finite structure: universe of int ids, per-element level,
-    relation interpretations, and a neighbour index per binary relation.
+    """Finite structure: universe of int ids, per-element level, relation
+    interpretations, and a neighbour index per binary relation.
     FinStructure(signature, elements, facts) is the empty structure grown by
-    one delta holding them all, so apply_delta does every check."""
+    one delta holding them all, so _extend does every check.
+
+    A frozen structure (every one a caller gets) keeps its universe and its
+    V_alpha caches as tuples and its neighbour sets as frozensets, and never
+    changes. A thawed one (_thawed) keeps them as lists and sets, and
+    _extend grows it in place until _freeze."""
 
     __slots__ = ("signature", "universe", "_level", "_rels", "_nbrs", "_vcache", "_key")
 
@@ -82,11 +83,11 @@ class FinStructure:
         elements: tuple[tuple[int, LevelOrdinal], ...],
         facts: tuple[tuple[str, tuple[int, ...]], ...],
     ) -> None:
-        empty = object.__new__(FinStructure)
         names = signature.names()
-        empty._fill(signature, (), {}, dict.fromkeys(names, frozenset()),
-                    {name: ({}, {}) for name in names}, {})
-        self._extend(empty, ExtensionDelta(tuple(elements), tuple(facts)))
+        self._fill(signature, [], {}, {name: set() for name in names},
+                   {name: ({}, {}) for name in names}, {})
+        self._extend(ExtensionDelta(tuple(elements), tuple(facts)))
+        self._freeze()
 
     def _fill(self, signature, universe, level, rels, nbrs, vcache) -> None:
         self.signature = signature
@@ -96,46 +97,76 @@ class FinStructure:
         # _nbrs[rel][pos][eid]: the ids at position 1 - pos of the rel facts
         # with eid at position pos; both sides stay empty unless rel is binary
         self._nbrs = nbrs
-        self._vcache: dict[LevelOrdinal, tuple[int, ...]] = vcache
+        self._vcache = vcache
         self._key: Optional[tuple] = None
 
-    def _extend(self, M: "FinStructure", delta: ExtensionDelta) -> None:
-        """Fill this structure as M grown by delta; see apply_delta."""
-        sig = M.signature
-        level = dict(M._level)
-        fresh = set()
+    def _thawed(self) -> "FinStructure":
+        """A copy of this frozen structure that _extend can grow in place,
+        made in O(|universe| + |facts|). It shares only frozen neighbour
+        sets, which _extend replaces by a set of its own before it adds to
+        one."""
+        out = object.__new__(FinStructure)
+        out._fill(
+            self.signature,
+            list(self.universe),
+            dict(self._level),
+            {name: set(tups) for name, tups in self._rels.items()},
+            {name: tuple(dict(side) for side in sides) for name, sides in self._nbrs.items()},
+            {alpha: list(ids) for alpha, ids in self._vcache.items()},
+        )
+        return out
+
+    def _freeze(self) -> "FinStructure":
+        """End the growth of a thawed structure; returns it, now frozen."""
+        self.universe = tuple(self.universe)
+        self._vcache = {alpha: tuple(ids) for alpha, ids in self._vcache.items()}
+        for sides in self._nbrs.values():
+            for side in sides:
+                for e, s in side.items():
+                    if type(s) is set:
+                        side[e] = frozenset(s)
+        return self
+
+    def _extend(self, delta: ExtensionDelta) -> None:
+        """Grow this thawed structure by delta in place, in time linear in
+        the delta and the number of cached V_alpha, plus one copy of each
+        neighbour set it first touches since the thaw; see apply_delta for
+        the checks. Everything is checked before anything changes, so a
+        rejected delta leaves the structure as it was."""
+        sig, level = self.signature, self._level
+        fresh: dict[int, LevelOrdinal] = {}
         for eid, lvl in delta.new_elements:
             if type(eid) is not int or eid < 0:
                 raise StructureError(f"element ids must be nonnegative ints, got {eid!r}")
-            if eid in M._level:
+            if eid in level:
                 raise StructureError(f"element id {eid} already in the universe")
             if eid in fresh:
                 raise StructureError(f"duplicate element id {eid}")
-            fresh.add(eid)
-            level[eid] = lvl
-        added: dict[str, set[tuple[int, ...]]] = {}
+            fresh[eid] = lvl
+        added = []
         for rel, tup in delta.new_facts:
             if not sig.has(rel):
                 raise StructureError(f"unknown relation {rel!r}")
             if not any(e in fresh for e in tup):
                 raise StructureError(f"fact {rel}{tup} touches no new element")
             for e in tup:
-                if type(e) is not int or e not in level:
+                if type(e) is not int or not (e in level or e in fresh):
                     raise StructureError(f"fact {rel}{tup} mentions unknown element {e!r}")
             if len(tup) != sig.arity(rel):
                 raise StructureError(f"arity mismatch for {rel!r}: {tup}")
-            added.setdefault(rel, set()).add(tuple(tup))
-        new = tuple(sorted(fresh))
-        vcache = {
-            alpha: _merge(ids, tuple(e for e in new if level[e] <= alpha))
-            for alpha, ids in M._vcache.items()
-        }
-        rels, nbrs = dict(M._rels), dict(M._nbrs)
-        for name, tups in added.items():
-            rels[name] = rels[name] | tups
-            if sig.arity(name) == 2:
-                nbrs[name] = _grow(nbrs[name], tups)
-        self._fill(sig, _merge(M.universe, new), level, rels, nbrs, vcache)
+            added.append((rel, tuple(tup)))
+        level.update(fresh)
+        new = sorted(fresh)
+        _merge_into(self.universe, new)
+        for alpha, ids in self._vcache.items():
+            _merge_into(ids, [e for e in new if fresh[e] <= alpha])
+        for rel, tup in added:
+            self._rels[rel].add(tup)
+            if len(tup) == 2:
+                out, into = self._nbrs[rel]
+                _link(out, tup[0], tup[1])
+                _link(into, tup[1], tup[0])
+        self._key = None
 
     # -- queries ------------------------------------------------------------
 
@@ -148,24 +179,26 @@ class FinStructure:
     def has_fact(self, rel: str, tup: tuple[int, ...]) -> bool:
         return tup in self._rels[rel]
 
-    def facts(self, rel: str) -> frozenset[tuple[int, ...]]:
+    def facts(self, rel: str) -> AbstractSet[tuple[int, ...]]:
+        """The rel facts, as the structure's own set: read it, never change it."""
         return self._rels[rel]
 
-    def neighbours(self, rel: str, pos: int, eid: int) -> frozenset[int]:
+    def neighbours(self, rel: str, pos: int, eid: int) -> AbstractSet[int]:
         """Ids at position 1 - pos of the rel facts with eid at position pos:
         for pos 0 the e with rel(eid, e), for pos 1 the e with rel(e, eid).
         Empty for an id outside the universe and for a relation that is not
         binary; KeyError for an unknown relation."""
         return self._nbrs[rel][pos].get(eid, _NONE)
 
-    def v_ids(self, alpha: Optional[LevelOrdinal]) -> tuple[int, ...]:
+    def v_ids(self, alpha: Optional[LevelOrdinal]) -> Sequence[int]:
         """Ids of V_alpha = elements at level <= alpha, ascending. Monotone in
-        alpha by definition. alpha None means the whole universe."""
+        alpha by definition. alpha None means the whole universe. A tuple on
+        a frozen structure; on a thawed one, the list that _extend grows."""
         if alpha is None:
             return self.universe
         cached = self._vcache.get(alpha)
         if cached is None:
-            cached = tuple(e for e in self.universe if self._level[e] <= alpha)
+            cached = type(self.universe)(e for e in self.universe if self._level[e] <= alpha)
             self._vcache[alpha] = cached
         return cached
 
@@ -235,8 +268,9 @@ def apply_delta(structure: FinStructure, delta: ExtensionDelta) -> FinStructure:
     """Extend by a delta. Rejects id collisions, duplicate or malformed new
     ids, facts among old elements only, unknown relations, arity mismatches,
     and dangling ids. Old levels are preserved verbatim; levels never move.
-    Only the delta is checked: the parent is valid, and nothing it holds
-    changes. The child shares every neighbour set the delta leaves alone."""
-    child = object.__new__(FinStructure)
-    child._extend(structure, delta)
-    return child
+    Only the delta is checked: the parent is valid. The parent is not
+    changed; the child is a thawed copy of it, grown and frozen, and shares
+    every neighbour set the delta leaves alone."""
+    child = structure._thawed()
+    child._extend(delta)
+    return child._freeze()

@@ -28,7 +28,7 @@ import abc
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .evaluator import DefinableSet, backtrack, solutions, truth
 from .formula import (
@@ -83,6 +83,20 @@ def _axiom(name: str, text: str, sig: Signature) -> Axiom:
     return Axiom(name, f, xs, ys)
 
 
+def _old_pool(
+    M: FinStructure, a_tuple: tuple[int, ...], allowed_old: Optional[Sequence[int]]
+) -> Sequence[int]:
+    """The old ids an oracle witness may use: the universe, or allowed_old
+    plus the parameters, each checked against the universe."""
+    if allowed_old is None:
+        return M.universe
+    pool = tuple(sorted(set(allowed_old) | set(a_tuple)))
+    for e in pool:
+        if e not in M:
+            raise OracleError(f"allowed_old id {e} not in the universe")
+    return pool
+
+
 def _markers(env: dict[str, int]) -> int:
     """Fresh markers in a slot assignment: they are -1, -2, ... in first-use
     order, so the count is the least term negated, 0 when all are old."""
@@ -135,6 +149,7 @@ class TheoryPlugin(abc.ABC):
         x_vars: Optional[tuple[str, ...]] = None,
         y_vars: Optional[tuple[str, ...]] = None,
         allowed_old: Optional[Sequence[int]] = None,
+        min_new: int = 0,
     ) -> Optional[WitnessExtension]:
         """Minimal extension of M realizing phi(a_tuple, y-bar), or None if
         no extension inside the theory realizes it (final: stays None for
@@ -145,7 +160,14 @@ class TheoryPlugin(abc.ABC):
         whole universe); new elements enter at level_for_new. A None result
         never depends on allowed_old, by the replacement contract (class
         docstring): the restriction only shapes which witness comes back,
-        not whether one exists.
+        not whether one exists. The pool of old ids is set up, and checked
+        against the universe (OracleError), only once a witness slot draws
+        from it.
+
+        The search tries witnesses with min_new new elements first. A caller
+        that has already found no witness over the pool, all of whose
+        components are old, passes 1 and gets the default call's answer
+        without repeating that search.
         """
         if x_vars is None or y_vars is None:
             xs, ys = split_vars(phi)
@@ -161,15 +183,9 @@ class TheoryPlugin(abc.ABC):
         leftover = free_vars(phi) - set(x_vars) - set(y_vars)
         if leftover:
             raise OracleError(f"unsplit variables {sorted(leftover)}")
-        if allowed_old is None:
-            pool: tuple[int, ...] = M.universe
-        else:
-            pool = tuple(sorted(set(allowed_old) | set(a_tuple)))
-            for e in pool:
-                if e not in M:
-                    raise OracleError(f"allowed_old id {e} not in the universe")
         env0 = dict(zip(x_vars, a_tuple))
-        hit = self._search(M, phi, env0, tuple(y_vars), pool, len(y_vars))
+        pool = partial(_old_pool, M, a_tuple, allowed_old)
+        hit = self._search(M, phi, env0, tuple(y_vars), pool, min_new, len(y_vars))
         if hit is None:
             return None
         facts, env = hit
@@ -217,7 +233,8 @@ class TheoryPlugin(abc.ABC):
         if not parts:
             return True
         pool = tuple(sorted(set(env.values())))
-        return self._search(M, conjoin(parts), env, tuple(x_vars), pool, len(x_vars)) is not None
+        hit = self._search(M, conjoin(parts), env, tuple(x_vars), lambda: pool, 0, len(x_vars))
+        return hit is not None
 
     # -- the pattern search ------------------------------------------------------
 
@@ -227,16 +244,20 @@ class TheoryPlugin(abc.ABC):
         phi: Formula,
         env0: dict[str, int],
         y_vars: tuple[str, ...],
-        pool: tuple[int, ...],
+        pool: Callable[[], Sequence[int]],
+        kmin: int,
         kmax: int,
     ) -> Optional[tuple[list[tuple[str, tuple[int, ...]]], dict[str, int]]]:
-        """Backtracking over slot assignments. Fresh slots are negative
+        """Backtracking over slot assignments. Old ids come from pool(),
+        called once, when a slot first may take one. Fresh slots are negative
         markers -1, -2, ... introduced in first-use order; pass k admits
-        exactly k distinct markers, so fewer-new-element witnesses win.
-        Returns (new facts over terms, full term environment) or None."""
+        exactly k distinct markers, for k from kmin to kmax, so
+        fewer-new-element witnesses win. Returns (new facts over terms,
+        full term environment) or None."""
         parts = conjuncts(phi)
         atom = partial(self._slot_atom, M, None)
-        for k in range(kmax + 1):
+        old: list[Sequence[int]] = []  # [pool()] once a slot has asked
+        for k in range(kmin, kmax + 1):
 
             def candidates(i: int, env: dict[str, int]) -> tuple[int, ...]:
                 used = _markers(env)
@@ -245,7 +266,9 @@ class TheoryPlugin(abc.ABC):
                     return ()  # cannot introduce the remaining markers
                 if need == left:
                     return (-(used + 1),)  # every slot left must be a new marker
-                return pool + tuple(-(j + 1) for j in range(min(used + 1, k)))
+                if not old:
+                    old.append(pool())
+                return (*old[0], *(-(j + 1) for j in range(min(used + 1, k))))
 
             # the pruning above makes every leaf use exactly k markers
             for env in backtrack(phi, env0, y_vars, candidates, atom):

@@ -189,6 +189,10 @@ def _old_format(doc):
 
 S0 = ("schedule", 0)  # schedule entry 0: E(x0, x0) at fin0, stage 1's one entry
 R0 = ("records", 1, 1, 0)  # a case-2 record of stage 2
+R3 = ("records", 3, 1, 0)  # stage 4's case-2 record, new element 2 at fin2
+# stage 12's first case-2 record of an omega+0 entry whose previous turn saw
+# the three ids 0, 4 and 5
+R11 = ("records", 11, 8, 0)
 CASE3 = {"a": [0], "case": 3, "witness": None, "new_ids": []}
 
 
@@ -212,6 +216,25 @@ def _set_stage(i, value):
 def _dangling_new_id(doc):
     rec = next(r for stage in doc["records"] for recs in stage for r in recs if r["new_ids"])
     rec["new_ids"][0] = max(e for e, _ in doc["final"]["elements"]) + 1
+    return doc
+
+
+def _swap_born(doc):
+    doc["born"][0], doc["born"][1] = doc["born"][1], doc["born"][0]
+    return doc
+
+
+def _late_orphan(doc):
+    """An element no record made, past the largest id, born at stage 1."""
+    doc["final"]["elements"].append([92, "omega+5"])
+    doc["final"]["facts"]["E"].append([92, 92])
+    doc["born"].append(1)
+    return doc
+
+
+def _swap_records(doc):
+    recs = doc["records"][11][8]
+    recs[0], recs[1] = recs[1], recs[0]
     return doc
 
 
@@ -260,6 +283,13 @@ def _set_born(i, value):
         _set_at(R0, witness=[999]),
         _set_at(R0, case=3),
         _set_at(R0, case=3, witness=None),
+        _swap_born,
+        _late_orphan,
+        _set_at(R0, a=[91]),
+        _set_at(R0, a=[0, 0]),
+        _set_at(R11, a=[0]),
+        _swap_records,
+        _set_at(R3, new_ids=[0], witness=[0]),
     ],
     ids=[
         "list", "string", "old-format", "old-format-no-stages", "born-short",
@@ -270,7 +300,9 @@ def _set_born(i, value):
         "formula-list", "x-vars-text", "y-vars-numbers", "schedule-short",
         "records-not-list", "stage-missing-list", "stage-extra-list",
         "stage-not-list", "entry-not-list", "case-7", "a-dangling",
-        "witness-dangling", "case3-witness", "case3-new-ids",
+        "witness-dangling", "case3-witness", "case3-new-ids", "born-decreasing",
+        "born-decreasing-orphan",        "a-outside-v-before", "a-wrong-length", "a-in-covered-prefix",
+        "records-out-of-order", "new-ids-frozen-level",
     ],
 )
 def test_malformed_chain_file_is_a_usage_error(equiv_build, tmp_path, corrupt):

@@ -357,6 +357,20 @@ def test_30_stage_chain_round_trip(request, fixture):
     assert back.born == chain.born and back.audits == chain.audits
 
 
+def _queries(M, levels):
+    """What a caller can read from M: its file form, V_alpha at the given
+    levels and every neighbour lookup."""
+    return (
+        M.to_json(),
+        [M.v_ids(alpha) for alpha in levels],
+        {
+            (rel, pos, e): set(M.neighbours(rel, pos, e))
+            for rel in M.signature.names() for pos in (0, 1)
+            for e in M.universe + (M.max_id + 1,)
+        },
+    )
+
+
 @pytest.mark.parametrize("name", sorted(PLUGINS))
 def test_stage_view_matches_stage_by_stage_build(chains12, name):
     """The replayed stages equal the structures a build_stage loop keeps,
@@ -367,8 +381,12 @@ def test_stage_view_matches_stage_by_stage_build(chains12, name):
     plugin, chain = get_plugin(name), chains12[name]
     schedule = tuple(seeded_schedule(plugin.signature, plugin.seeds(), 12, 4))
     kept, frontier = [build_m0(plugin)], {}
+    levels = sorted({lv for e in schedule for lv in (e.level, e.level.successor())})
     for n in range(1, 13):
-        M, _ = build_stage(plugin, kept[-1], schedule[:n], n, frontier)
+        prev = kept[-1]
+        before = _queries(prev, levels)
+        M, _ = build_stage(plugin, prev, schedule[:n], n, frontier)
+        assert _queries(prev, levels) == before  # build_stage grows a copy
         kept.append(M)
     assert list(chain.stages) == kept
     for M in chain.stages:

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from levelsat.evaluator import evaluate
+from levelsat.evaluator import evaluate, find_witness
 from levelsat.formula import (
     And,
     Eq,
@@ -255,6 +255,44 @@ def test_refusal_does_not_depend_on_allowed_old(name):
                     mismatched.append(f"{render(phi)} at {a_bar} on |M|={M.size()}")
     assert checked > 50
     assert not mismatched, mismatched[:5]
+
+
+@pytest.mark.parametrize("name", sorted(PLUGINS))
+def test_fresh_only_search_matches_the_default_call(name):
+    """build_stage calls the oracle with min_new=1 only once find_witness has
+    found no witness over allowed_old plus the parameters. Wherever that
+    all-old search finds nothing, min_new=1 must return exactly what the
+    default call returns: for allowed_old None (the universe, searched by
+    find_witness) and for allowed_old () (the parameters alone, searched
+    by a product scan)."""
+    plugin = get_plugin(name)
+    pool = _formula_pool(plugin)
+    outcomes, checked = set(), 0
+    for M in _structures_upto4(plugin) + _random_structures(plugin):
+        for phi, xs, ys in pool:
+            for a_bar in itertools.product(M.universe, repeat=len(xs)):
+                env = dict(zip(xs, a_bar))
+                for allowed in (None, ()):
+                    if allowed is None:
+                        old_hit = find_witness(M, phi, env, ys, None) is not None
+                    else:
+                        old_hit = any(
+                            evaluate(M, phi, {**env, **dict(zip(ys, w))})
+                            for w in itertools.product(sorted(set(a_bar)), repeat=len(ys))
+                        )
+                    if old_hit:
+                        continue
+                    default, fresh_only = (
+                        plugin.extends_with_witness(
+                            M, phi, a_bar, fin(1), x_vars=xs, y_vars=ys,
+                            allowed_old=allowed, min_new=k,
+                        )
+                        for k in (0, 1)
+                    )
+                    assert fresh_only == default, f"{render(phi)} at {a_bar} on |M|={M.size()}"
+                    outcomes.add(default is None)
+                    checked += 1
+    assert checked > 50 and outcomes == {True, False}
 
 
 def _families(M, pool, rng):

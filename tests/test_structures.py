@@ -151,7 +151,7 @@ def _snapshot(M):
         [M.v_ids(a) for a in MLEVELS],
         {t: M.has_fact("E", t) for t in itertools.product(ids, repeat=2)},
         {
-            (rel, pos, e): M.neighbours(rel, pos, e)
+            (rel, pos, e): set(M.neighbours(rel, pos, e))
             for rel in M.signature.names() for pos in (0, 1) for e in ids
         },
     )
@@ -161,7 +161,7 @@ def _assert_same(M, fresh):
     assert M == fresh and hash(M) == hash(fresh)
     assert M.to_json() == fresh.to_json()
     for alpha in MLEVELS + (None,):
-        assert M.v_ids(alpha) == fresh.v_ids(alpha)
+        assert tuple(M.v_ids(alpha)) == fresh.v_ids(alpha)
     ids = fresh.universe + (fresh.max_id + 1,)
     for rel in MSIG.names():
         assert M.facts(rel) == fresh.facts(rel)
@@ -174,20 +174,31 @@ def _assert_same(M, fresh):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_apply_delta_matches_a_fresh_build(seed):
+    """Each apply_delta child, and one thawed structure that _extend grows
+    in place by the same deltas, against a fresh build of the same input."""
     rng = random.Random(seed)
     M = FinStructure(MSIG, ((0, fin(0)),), ())
+    grown = M._thawed()
     elements, facts = [(0, fin(0))], []
     for _ in range(12):
         for alpha in rng.sample(MLEVELS, 3):
             M.v_ids(alpha)  # fill the cache the child extends
+            grown.v_ids(alpha)  # and the list _extend grows
         delta = _random_delta(rng, M)
         before = _snapshot(M)
         child = apply_delta(M, delta)
         assert _snapshot(M) == before
+        grown._extend(delta)
         elements += delta.new_elements
         facts += delta.new_facts
-        _assert_same(child, FinStructure(MSIG, tuple(elements), tuple(facts)))
+        fresh = FinStructure(MSIG, tuple(elements), tuple(facts))
+        _assert_same(child, fresh)
+        _assert_same(grown, fresh)
         M = child
+    frozen = grown._freeze()
+    _assert_same(frozen, fresh)
+    assert type(frozen.universe) is tuple
+    assert all(type(frozen.v_ids(alpha)) is tuple for alpha in MLEVELS)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -271,6 +271,34 @@ def test_one_witness_extension_scans_the_universe_once():
     assert calls[0] <= n + 10
 
 
+def test_fresh_only_step_costs_the_same_at_any_size(monkeypatch):
+    """A common_neighbor step as the builder makes it, after find_witness
+    has searched the old ids: with min_new=1 the one slot is the new
+    marker, so the oracle neither sets up nor checks its pool of old ids,
+    and its atom calls do not grow with the universe."""
+    contains = [0]
+    plain = FinStructure.__contains__
+
+    def counted(M, eid):
+        contains[0] += 1
+        return plain(M, eid)
+
+    monkeypatch.setattr(FinStructure, "__contains__", counted)
+    phi = parse("R(x0, y0) & R(x1, y0)", GSIG)
+    counts = []
+    for n in (20, 200, 2000):
+        plugin, calls = _counting_rado()
+        M = _edgeless(n)
+        contains[0] = 0
+        ext = plugin.extends_with_witness(
+            M, phi, (0, 1), fin(1), allowed_old=M.v_ids(fin(1)), min_new=1
+        )
+        assert ext is not None and ext.witness == (n,)
+        counts.append((calls[0], contains[0]))
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[0][1] == 2  # the two parameters, and no pool id
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_triangle_veto_matches_the_full_walk(seed):
     """_edges_ok against a walk over every old element and marker as the
