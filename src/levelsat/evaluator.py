@@ -15,8 +15,17 @@ conjunct, R(v, y) or R(y, v), ties the slot y to a variable v bound before
 it: the slot then ranges over the neighbours of v, intersected over every
 such atom, cut to V_cap and ascending. Every value this drops fails that
 conjunct, and the rest keep V_cap's order, so the hits and their order are
-those of the plain scan. Atoms under Not or Or, R(y, y), and atoms whose
-other variable is assigned later narrow nothing.
+those of the plain scan. Atoms under Not, R(y, y), and atoms whose other
+variable is assigned later narrow nothing.
+
+A formula whose top level is an Or tree is searched branch by branch: each
+disjunct gets its own plan, ties and candidates, and the branches' hits,
+each stream lexicographic, are merged in order with equal tuples kept once.
+A tuple satisfies the Or exactly when it satisfies some branch, so the hits
+and their order are again those of the plain scan, and find_witness stops
+at the first merged hit. Henson's spread_pair, R(x0, x1) | (R(y0, x0) &
+R(y0, x1)), so costs the first id of V_cap or the intersection of two
+neighbour sets. Atoms under an Or inside a conjunct still narrow nothing.
 
 A DefinableSet packages a formula with its solution variables, parameter
 bindings, and an optional level cap. Solutions are tuples over V_cap,
@@ -25,6 +34,7 @@ enumerated in lexicographic id order; counts are exact ints.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
@@ -39,6 +49,7 @@ from .formula import (
     Or,
     RelAtom,
     conjuncts,
+    disjuncts,
     free_vars,
 )
 from .structures import FinStructure
@@ -122,11 +133,14 @@ class _Plan:
     holds the top-level conjuncts checked once order[i-1] has a value
     (due[0]: those env alone binds); outside holds the free variables env
     must bind; ties[i] lists (rel, pos, v) for each top-level atom with v at
-    position pos and order[i] at the other, v bound before order[i]."""
+    position pos and order[i] at the other, v bound before order[i];
+    branches holds the disjuncts of a top-level Or, () for any other
+    formula."""
 
     due: tuple[tuple[Formula, ...], ...]
     outside: frozenset[str]
     ties: tuple[tuple[tuple[str, int, str], ...], ...]
+    branches: tuple[Formula, ...]
 
 
 # Keyed by the formula's identity, and holding the formula so that the id
@@ -154,7 +168,8 @@ def _plan(formula: Formula, order: tuple[str, ...]) -> _Plan:
                 y = part.args[1 - pos]
                 if y in depth and depth.get(v, 0) < depth[y]:
                     ties[depth[y] - 1].append((part.rel, pos, v))
-    plan = _Plan(tuple(map(tuple, due)), frozenset(outside), tuple(map(tuple, ties)))
+    branches = disjuncts(formula) if isinstance(formula, Or) else ()
+    plan = _Plan(tuple(map(tuple, due)), frozenset(outside), tuple(map(tuple, ties)), branches)
     if len(_PLANS) >= _PLANS_MAX:
         _PLANS.clear()
     _PLANS[key] = (formula, plan)
@@ -178,9 +193,7 @@ def backtrack(
     keep before asking for the next one. Raises EvalError if a free variable
     is neither in env nor in order."""
     plan = _plan(formula, order)
-    unbound = plan.outside - env.keys()
-    if unbound:
-        raise EvalError(f"unbound variables {sorted(unbound)}")
+    _check_bound(plan, env)
     env = dict(env)
     if any(truth(part, env, atom, domain) is False for part in plan.due[0]):
         return
@@ -188,6 +201,12 @@ def backtrack(
         yield from _descend(0, env, order, plan.due, candidates, atom, domain)
     else:
         yield env
+
+
+def _check_bound(plan: _Plan, env: dict[str, int]) -> None:
+    unbound = plan.outside - env.keys()
+    if unbound:
+        raise EvalError(f"unbound variables {sorted(unbound)}")
 
 
 def _descend(i, env, order, due, candidates, atom, domain) -> Iterator[dict[str, int]]:
@@ -210,12 +229,12 @@ def _descend(i, env, order, due, candidates, atom, domain) -> Iterator[dict[str,
 
 
 def _indexed(
-    structure: FinStructure, formula: Formula, order: tuple[str, ...], cap: Optional[LevelOrdinal]
+    structure: FinStructure, plan: _Plan, cap: Optional[LevelOrdinal]
 ) -> Callable[[int, dict[str, int]], Iterable[int]]:
     """backtrack candidates over V_cap, narrowed by the neighbour index where
     the plan ties a slot to bound variables (module docstring)."""
     ids = structure.v_ids(cap)
-    ties = _plan(formula, order).ties
+    ties = plan.ties
 
     def candidates(i: int, env: dict[str, int]) -> Iterable[int]:
         if not ties[i]:
@@ -223,21 +242,46 @@ def _indexed(
         sets = sorted((structure.neighbours(rel, pos, env[v]) for rel, pos, v in ties[i]), key=len)
         if len(sets[0]) >= len(ids):
             return [e for e in ids if all(e in s for s in sets)]
-        hits = [e for e in sets[0] if all(e in s for s in sets[1:])]
+        # a fresh list: a build grows the index's own sets in place
+        hits = sets[0].intersection(*sets[1:])
         if cap is not None:
             hits = [e for e in hits if structure.level_of(e) <= cap]
-        hits.sort()
-        return hits
+        return sorted(hits)
 
     return candidates
+
+
+def _merged(
+    structure: FinStructure,
+    plan: _Plan,
+    env: dict[str, int],
+    order: tuple[str, ...],
+    cap: Optional[LevelOrdinal],
+) -> Iterator[tuple[int, ...]]:
+    """The hits of a top-level Or, lexicographic and each once: the merged
+    hits of its branches (plan.branches), each searched on its own (module
+    docstring). A free variable of any branch that env leaves unbound raises
+    EvalError here, before any branch is searched."""
+    _check_bound(plan, env)
+    streams = []
+    for b in plan.branches:
+        hits = backtrack(
+            b, env, order, _indexed(structure, _plan(b, order), cap),
+            structure.has_fact, structure.v_ids,
+        )
+        streams.append(tuple(hit[v] for v in order) for hit in hits)
+    return (t for t, _ in itertools.groupby(heapq.merge(*streams)))
 
 
 def solutions(structure: FinStructure, dset: DefinableSet) -> list[tuple[int, ...]]:
     """All solution tuples, lexicographic in ids. Unbound leftover variables
     raise EvalError."""
     f, order = dset.formula, dset.vars
+    plan = _plan(f, order)
+    if plan.branches:
+        return list(_merged(structure, plan, dset.env(), order, dset.cap))
     hits = backtrack(
-        f, dset.env(), order, _indexed(structure, f, order, dset.cap),
+        f, dset.env(), order, _indexed(structure, plan, dset.cap),
         structure.has_fact, structure.v_ids,
     )
     return [tuple(env[v] for v in order) for env in hits]
@@ -256,8 +300,11 @@ def find_witness(
 ) -> Optional[tuple[int, ...]]:
     """First tuple over V_cap (lexicographic) satisfying formula, or None:
     the first of solutions() of the capped set, without computing the rest."""
+    plan = _plan(formula, witness_vars)
+    if plan.branches:
+        return next(_merged(structure, plan, env, witness_vars, cap), None)
     hits = backtrack(
-        formula, env, witness_vars, _indexed(structure, formula, witness_vars, cap),
+        formula, env, witness_vars, _indexed(structure, plan, cap),
         structure.has_fact, structure.v_ids,
     )
     for hit in hits:

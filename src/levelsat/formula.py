@@ -212,6 +212,34 @@ def conjuncts(f: Formula) -> tuple[Formula, ...]:
     return (f,)
 
 
+def disjuncts(f: Formula) -> tuple[Formula, ...]:
+    """Flatten a top-level Or tree. Non-Or formulas are their own disjunct."""
+    if isinstance(f, Or):
+        return disjuncts(f.left) + disjuncts(f.right)
+    return (f,)
+
+
+def nnf(f: Formula) -> Formula:
+    """f with every Not pushed inward through And and Or (De Morgan) and
+    double negations dropped, so a Not is left only on an atom, an Eq or an
+    Exists, whose body is kept as it is. Equivalent to f in two- and
+    three-valued (Kleene) logic."""
+    if isinstance(f, Not):
+        body = f.body
+        if isinstance(body, Not):
+            return nnf(body.body)
+        if isinstance(body, And):
+            return Or(nnf(Not(body.left)), nnf(Not(body.right)))
+        if isinstance(body, Or):
+            return And(nnf(Not(body.left)), nnf(Not(body.right)))
+        return f
+    if isinstance(f, And):
+        return And(nnf(f.left), nnf(f.right))
+    if isinstance(f, Or):
+        return Or(nnf(f.left), nnf(f.right))
+    return f
+
+
 def conjoin(parts: list[Formula]) -> Formula:
     if not parts:
         raise ValueError("empty conjunction")

@@ -43,6 +43,7 @@ from .formula import (
     conjuncts,
     free_vars,
     is_quantifier_free,
+    nnf,
     parse,
     rename_vars,
     split_vars,
@@ -129,12 +130,14 @@ class TheoryPlugin(abc.ABC):
         return tuple((ax.formula, ax.x_vars, ax.y_vars) for ax in self.ae_axioms)
 
     def validate_t_forall(self, M: FinStructure) -> list[AxiomViolation]:
-        """All violations of the universal axioms in M; empty means M is a
-        legal partial model."""
+        """All violations of the universal axioms in M, axiom by axiom, each
+        axiom's lexicographic; empty means M is a legal partial model. Each
+        is a search for counterexamples: the negated axiom in negation normal
+        form, so its positive atoms tie slots to the neighbour index."""
         return [
             AxiomViolation(ax.name, tup)
             for ax in self.universal_axioms
-            for tup in solutions(M, DefinableSet(Not(ax.formula), ax.x_vars))
+            for tup in solutions(M, DefinableSet(nnf(Not(ax.formula)), ax.x_vars))
         ]
 
     # -- oracle entry points ---------------------------------------------------

@@ -18,7 +18,20 @@ from levelsat.evaluator import (
     solutions,
     truth,
 )
-from levelsat.formula import Signature, fin, free_vars, omega_plus, parse
+from levelsat.formula import (
+    And,
+    Eq,
+    Exists,
+    Not,
+    Or,
+    RelAtom,
+    Signature,
+    fin,
+    free_vars,
+    nnf,
+    omega_plus,
+    parse,
+)
 from levelsat.structures import ExtensionDelta, FinStructure, apply_delta
 
 from test_formula import _formulas
@@ -70,6 +83,17 @@ def test_unbound_variable_raises():
         evaluate(M, parse("E(x0, x1)", SIG), {"x0": 0})
     with pytest.raises(EvalError):
         evaluate(M, parse("x0 = x1", SIG), {"x1": 0})
+
+
+def test_unbound_variable_in_a_later_branch_raises():
+    # the first branch has hits, and the Or is searched branch by branch,
+    # but x1 is a free variable of the whole formula
+    M = _graph(((0, 1),), ((0, fin(0)), (1, fin(0))))
+    f = parse("E(x0, y0) | E(y0, x1) | y0 = x0", SIG)
+    with pytest.raises(EvalError, match=r"unbound variables \['x1'\]"):
+        find_witness(M, f, {"x0": 0}, ("y0",), None)
+    with pytest.raises(EvalError, match=r"unbound variables \['x1'\]"):
+        solutions(M, DefinableSet(f, ("y0",), (("x0", 0),)))
 
 
 # -- solutions / count ------------------------------------------------------------
@@ -257,6 +281,31 @@ def test_partial_truth_is_kleene_sound(M, f, data):
         assert evaluate(done, f, env) is got
 
 
+def _in_nnf(f) -> bool:
+    if isinstance(f, Not):
+        return isinstance(f.body, (RelAtom, Eq, Exists))
+    if isinstance(f, (And, Or)):
+        return _in_nnf(f.left) and _in_nnf(f.right)
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(_structures(), _formulas(), st.data())
+def test_nnf_keeps_kleene_truth(M, f, data):
+    g = nnf(f)
+    assert _in_nnf(g)
+    assert free_vars(g) == free_vars(f)
+    env = {v: data.draw(st.sampled_from(M.universe)) for v in sorted(free_vars(f))}
+    pairs = list(itertools.product(M.universe, repeat=2))
+    open_ = data.draw(st.lists(st.sampled_from(pairs), max_size=3, unique=True))
+
+    def partial_atom(rel, ids):
+        return None if ids in open_ else M.has_fact(rel, ids)
+
+    assert truth(g, env, partial_atom, M.v_ids) is truth(f, env, partial_atom, M.v_ids)
+    assert evaluate(M, g, env) is evaluate(M, f, env)
+
+
 # -- the index-driven search against the product scan -------------------------------
 
 INDEXED = [
@@ -275,6 +324,16 @@ INDEXED = [
     ("E(x0, y0) | y0 = x1", ("y0",)),
     ("!(E(x0, y0) | E(y0, x1))", ("y0",)),
     ("E(x0, y0) & (E(y0, x1) | E(x1, y0))", ("y0",)),
+    # a top-level Or, searched branch by branch: Henson's spread_pair shape,
+    # three branches, overlapping branches, a branch that leaves a slot
+    # unconstrained, and a branch that env alone can make false
+    ("E(x0, x1) | (E(y0, x0) & E(y0, x1))", ("y0",)),
+    ("E(x0, y0) | E(y0, x1) | (E(y0, y0) & !(y0 = x0))", ("y0",)),
+    ("E(x0, y0) | (E(x0, y0) & E(y0, x1))", ("y0",)),
+    ("E(x0, y0) | (E(x0, y0) & E(y0, y1))", ("y0", "y1")),
+    ("E(y0, y1) | E(x0, y0)", ("y0", "y1")),
+    ("E(y0, y1) | E(x0, y0)", ("y1", "y0")),
+    ("(E(x0, x1) & E(x1, y0)) | E(y0, x0)", ("y0",)),
 ]
 
 ILEVELS = (fin(0), fin(1), omega_plus(0), omega_plus(1))
@@ -351,3 +410,24 @@ def test_common_neighbour_search_work_does_not_grow_with_the_universe():
         assert find_witness(M, f, {"x0": 0, "x1": 2}, ("y0",), None) is None
         counts.append(_CountingStructure.calls)
     assert counts[0] == counts[1]
+
+
+def test_spread_pair_search_work_does_not_grow_with_the_universe():
+    """Henson's spread_pair on a sparse graph: 0 and 1 are not adjacent and
+    share the one neighbour n - 1, and the rest is a path. Branch by branch,
+    the search checks E(0, 1) once and offers y0 only the common neighbour,
+    however large n. For an adjacent pair the first id of V_cap is a
+    witness; 0 sits above fin0, so under that cap the first id is 1."""
+    f = parse("E(x0, x1) | (E(y0, x0) & E(y0, x1))", SIG)
+    counts = []
+    for n in (20, 200, 2000):
+        edges = [(0, n - 1), (1, n - 1)] + [(i, i + 1) for i in range(2, n - 2)]
+        facts = [("E", t) for a, b in edges for t in ((a, b), (b, a))]
+        levels = ((0, fin(1)),) + tuple((e, fin(0)) for e in range(1, n))
+        M = _CountingStructure(SIG, levels, tuple(facts))
+        _CountingStructure.calls = 0
+        assert find_witness(M, f, {"x0": 0, "x1": 1}, ("y0",), None) == (n - 1,)
+        counts.append(_CountingStructure.calls)
+        assert find_witness(M, f, {"x0": 2, "x1": 3}, ("y0",), None) == (0,)
+        assert find_witness(M, f, {"x0": 2, "x1": 3}, ("y0",), fin(0)) == (1,)
+    assert counts[0] == counts[1] == counts[2]

@@ -14,11 +14,13 @@ from levelsat.formula import (
     RelAtom,
     Signature,
     conjoin,
+    disjuncts,
     enumerate_schedule,
     fin,
     free_vars,
     is_quantifier_free,
     level_at,
+    nnf,
     omega_plus,
     parse,
     parse_level,
@@ -155,6 +157,29 @@ def test_conjoin():
     assert conjoin([a, b]) == And(a, b)
     with pytest.raises(ValueError):
         conjoin([])
+
+
+def test_disjuncts_flatten_the_top_level_or():
+    f = parse("E(x0, y0) | (E(y0, x1) & !(y0 = x0)) | (x0 = x1 | E(y0, y0))", SIG)
+    assert [render(d) for d in disjuncts(f)] == [
+        "E(x0, y0)", "E(y0, x1) & !(y0 = x0)", "x0 = x1", "E(y0, y0)",
+    ]
+    g = parse("!(E(x0, y0) | E(y0, x1))", SIG)
+    assert disjuncts(g) == (g,)
+
+
+def test_nnf_pushes_not_to_the_atoms():
+    cases = {
+        # the negated universal axioms become positive-atom joins
+        "!(!E(x0, x1) | !E(x1, x2) | E(x0, x2))": "E(x0, x1) & E(x1, x2) & !E(x0, x2)",
+        "!(!E(x0, x1) | E(x1, x0))": "E(x0, x1) & !E(x1, x0)",
+        "!(E(x0, x1) & (x0 = x1 | !E(x1, x0)))": "!E(x0, x1) | (!(x0 = x1) & E(x1, x0))",
+        "!!!E(x0, x0)": "!E(x0, x0)",
+        "!(exists y0. !!E(x0, y0))": "!(exists y0. !!E(x0, y0))",
+        "E(x0, x1) | !(x0 = x1 & x1 = x0)": "E(x0, x1) | (!(x0 = x1) | !(x1 = x0))",
+    }
+    for text, want in cases.items():
+        assert nnf(parse(text, SIG)) == parse(want, SIG), text
 
 
 def test_quantifier_free_fragment():

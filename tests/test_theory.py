@@ -6,9 +6,11 @@ import random
 import pytest
 
 from levelsat.evaluator import evaluate
-from levelsat.formula import Signature, fin, parse
+from levelsat.formula import Not, Signature, fin, omega_plus, parse
 from levelsat.structures import FinStructure, apply_delta
-from levelsat.theory import PLUGINS, OracleError, RandomGraphTheory, get_plugin
+from levelsat.theory import PLUGINS, AxiomViolation, OracleError, RandomGraphTheory, get_plugin
+
+from oracle_reference import VALIDATORS
 
 RADO = get_plugin("random_graph")
 EQUIV = get_plugin("generic_equivalence")
@@ -67,6 +69,54 @@ def test_triangle_reported():
     names = {v.axiom for v in HENSON.validate_t_forall(M)}
     assert "triangle_free" in names
     assert RADO.validate_t_forall(M) == []
+
+
+def _near_models(plugin, rng, count):
+    """Small structures at mixed levels: a model of the plugin's universal
+    axioms apart from triangles (symmetric loop-free edges, or the classes
+    of a random partition), with up to two ordered pairs toggled, each with
+    its reverse half the time."""
+    for _ in range(count):
+        n = rng.randint(0, 5)
+        elements = tuple((e, rng.choice((fin(0), fin(1), omega_plus(0)))) for e in range(n))
+        if not plugin.signature.relations:
+            yield FinStructure(plugin.signature, elements, ())
+            continue
+        (rel, _), = plugin.signature.relations
+        if rel == "E":
+            label = [rng.randrange(3) for _ in range(n)]
+            pairs = {(a, b) for a in range(n) for b in range(n) if label[a] == label[b]}
+        else:
+            edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4]
+            pairs = {t for a, b in edges for t in ((a, b), (b, a))}
+        for _ in range(rng.randint(0, 2) if n else 0):
+            a, b = rng.randrange(n), rng.randrange(n)
+            pairs ^= {(a, b), (b, a)} if rng.random() < 0.5 else {(a, b)}
+        yield FinStructure(plugin.signature, elements, tuple((rel, t) for t in sorted(pairs)))
+
+
+def test_validate_t_forall_matches_the_product_scan():
+    """The counterexample search against a literal scan of every tuple under
+    the negated axiom, as the ordered list of violations, and against the
+    hand-coded validators of the brute-force oracle reference."""
+    for name, plugin in sorted(PLUGINS.items()):
+        rng = random.Random(name)
+        violated, valid = set(), 0
+        for M in _near_models(plugin, rng, 150):
+            scan = [
+                AxiomViolation(ax.name, t)
+                for ax in plugin.universal_axioms
+                for t in itertools.product(M.universe, repeat=len(ax.x_vars))
+                if evaluate(M, Not(ax.formula), dict(zip(ax.x_vars, t)))
+            ]
+            got = plugin.validate_t_forall(M)
+            assert got == scan, (name, M)
+            assert (got == []) is VALIDATORS[name](M), (name, M)
+            violated |= {v.axiom for v in got}
+            valid += got == []
+        # the sample reaches every axiom's violations, and models too
+        assert violated == {ax.name for ax in plugin.universal_axioms}, name
+        assert valid > 0, name
 
 
 # -- extends_with_witness ------------------------------------------------------------
