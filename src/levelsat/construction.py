@@ -38,13 +38,10 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .evaluator import diag_key, evaluate, find_witness
+from .evaluator import diag_key, diagram, evaluate, find_witness
 from .formula import (
     Eq,
-    Formula,
     LevelOrdinal,
-    Not,
-    RelAtom,
     ScheduleEntry,
     Signature,
     conjoin,
@@ -55,7 +52,7 @@ from .formula import (
     seeded_schedule,
 )
 from .structures import ExtensionDelta, FinStructure, apply_delta, canonical_json
-from .theory import TheoryPlugin
+from .theory import PLUGINS, TheoryPlugin
 
 
 class InternalFaultError(RuntimeError):
@@ -246,16 +243,13 @@ def build_chain(
     n_stages: int,
     *,
     schedule: Optional[tuple[ScheduleEntry, ...]] = None,
-    horizon: int = 4,
 ) -> StageChain:
     """M_0 through M_n under the plugin's seeded schedule (or a caller-built
     one). Deterministic: equal inputs give equal chains, byte for byte."""
     if n_stages < 0:
         raise ConstructionError("n_stages must be >= 0")
     if schedule is None:
-        schedule = tuple(
-            seeded_schedule(plugin.signature, plugin.seeds(), n_stages, horizon)
-        )
+        schedule = tuple(seeded_schedule(plugin.signature, plugin.seeds(), n_stages))
     if len(schedule) < n_stages:
         raise ConstructionError(f"schedule has {len(schedule)} entries, need {n_stages}")
     M = build_m0(plugin)
@@ -391,27 +385,16 @@ def embed_model(
     for i, a in enumerate(sources):
         bound = fin(i + 1)
         x_vars = tuple(f"p{j}" for j in range(i))
-        yv = "y0"
-        lits: list[Formula] = []
-        names = list(x_vars) + [yv]
         prefix = sources[:i]
-        for rel, ar in A.signature.relations:
-            for pos in itertools.product(range(i + 1), repeat=ar):
-                if all(p < i for p in pos):
-                    continue
-                args = tuple(names[p] for p in pos)
-                holds = A.has_fact(rel, tuple((prefix + [a])[p] for p in pos))
-                lits.append(RelAtom(rel, args) if holds else Not(RelAtom(rel, args)))
-        for j in range(i):
-            lits.append(Not(Eq(yv, names[j])))
-        phi = conjoin(lits) if lits else Eq(yv, yv)
+        lits = diagram(A, tuple(sources[: i + 1]), (*x_vars, "y0"), i)
+        phi = conjoin(lits) if lits else Eq("y0", "y0")
         ext = plugin.extends_with_witness(
             M,
             phi,
             tuple(mapping[p] for p in prefix),
             bound,
             x_vars=x_vars,
-            y_vars=(yv,),
+            y_vars=("y0",),
             allowed_old=M.v_ids(bound),
         )
         if ext is None:
@@ -487,8 +470,9 @@ def chain_from_doc(doc: dict) -> StageChain:
     file where they do is rejected. So is a record whose parameter tuple its
     entry did not process, that is not a k-tuple over v_before with a
     component past the previous turn's prefix, or that breaks the
-    lexicographic order of the entry's records; and a case-2 record whose
-    new ids check_level_freeze rejects."""
+    lexicographic order of the entry's records; a case-2 record whose new
+    ids check_level_freeze rejects; and a plugin that names no bundled
+    theory, or a final structure over another signature than its own."""
     if not isinstance(doc, dict):
         raise ConstructionError("a chain must be a JSON object")
     fmt = doc.get("format")
@@ -497,7 +481,13 @@ def chain_from_doc(doc: dict) -> StageChain:
     missing = {"plugin", "schedule", "final", "born", "records"} - doc.keys()
     if missing:
         raise ConstructionError(f"missing keys {sorted(missing)}")
+    name = doc["plugin"]
+    plugin = PLUGINS.get(name) if isinstance(name, str) else None
+    if plugin is None:
+        raise ConstructionError(f"unknown plugin {name!r}")
     final = FinStructure.from_doc(doc["final"])
+    if final.signature != plugin.signature:
+        raise ConstructionError(f"the final signature is not {plugin.name}'s")
     born, stages = doc["born"], doc["records"]
     if not isinstance(stages, list):
         raise ConstructionError("records must be a list with one list per stage")
@@ -549,7 +539,7 @@ def chain_from_doc(doc: dict) -> StageChain:
             )
             watermark = max((watermark, *(e for r in records for e in r.new_ids)))
         audits.append(StageAudit(stage, tuple(entries)))
-    chain = StageChain(doc["plugin"], schedule, final, tuple(born), tuple(audits))
+    chain = StageChain(name, schedule, final, tuple(born), tuple(audits))
     moved = check_level_freeze(chain)
     if moved:
         stage, e, expected, actual = moved[0]

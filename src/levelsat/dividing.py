@@ -22,7 +22,7 @@ from typing import Optional
 
 from .construction import InternalFaultError, StageChain
 from .dimension import DIVERGES_NEG, DimCompareResult, DimTrend, dim_compare, trend
-from .evaluator import DefinableSet, diag_key, qf_type_equal, solutions
+from .evaluator import DefinableSet, diag_key, diagram, qf_type_equal, solutions
 from .formula import (
     Eq,
     Formula,
@@ -103,26 +103,7 @@ def _apartness_extension_formula(
     p_vars = tuple(f"p{i}" for i in range(len(a_ids)))
     w_vars = tuple(f"w{i}" for i in range(len(b_ids)))
     f_vars = tuple(f"f{i}" for i in range(len(family_ids)))
-    parts: list[Formula] = []
-    # equality pattern of b within itself and against a
-    for i, bi in enumerate(b_ids):
-        for j in range(i + 1, len(b_ids)):
-            lit = Eq(w_vars[i], w_vars[j])
-            parts.append(lit if bi == b_ids[j] else Not(lit))
-        for aj, pv in zip(a_ids, p_vars):
-            lit = Eq(w_vars[i], pv)
-            parts.append(lit if bi == aj else Not(lit))
-    # relational diagram of (a, b); tuples living wholly on the a slots are
-    # already facts of M and add nothing
-    combined = list(zip(a_ids, p_vars)) + list(zip(b_ids, w_vars))
-    n_a = len(a_ids)
-    for rel, arity in sorted(M.signature.relations):
-        for picks in itertools.product(range(len(combined)), repeat=arity):
-            if all(p < n_a for p in picks):
-                continue
-            ids = tuple(combined[p][0] for p in picks)
-            atom = RelAtom(rel, tuple(combined[p][1] for p in picks))
-            parts.append(atom if M.has_fact(rel, ids) else Not(atom))
+    parts = diagram(M, a_ids + b_ids, p_vars + w_vars, len(a_ids))
     # apartness from the family: no equality, no relation in either direction
     for wv in w_vars:
         for fv in f_vars:
@@ -306,11 +287,11 @@ def find_dimension_drop(
     skipped: list[tuple[int, ...]] = []
     pool = _matching_tuples(final, a_ids, b_ids, seed)
     for c in pool:
-        t1 = trend(chain, dset(c))
-        if t1.start_stage > window_start:
+        # trend's own start: the latest birth stage among the parameters
+        if max((chain.born_at[e] for e in a_ids + c), default=0) > window_start:
             skipped.append(c)
             continue
-        entries.append(DropEntry(c, dim_compare(t1, t2, window, bound)))
+        entries.append(DropEntry(c, dim_compare(trend(chain, dset(c)), t2, window, bound)))
     return DropReport(
         t2,
         tb,

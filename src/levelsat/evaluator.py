@@ -30,6 +30,12 @@ neighbour sets. Atoms under an Or inside a conjunct still narrow nothing.
 A DefinableSet packages a formula with its solution variables, parameter
 bindings, and an optional level cap. Solutions are tuples over V_cap,
 enumerated in lexicographic id order; counts are exact ints.
+
+A tuple's atomic diagram, the truth of each equality and relation atom over
+its positions, is enumerated in one place (_atoms). diag_key reads it as a
+comparison key and diagram() writes it as literals, the form in which the
+construction embeds a finite structure and the dividing search grows a
+fresh copy of a tuple over its parameters.
 """
 
 from __future__ import annotations
@@ -312,20 +318,44 @@ def find_witness(
     return None
 
 
-def diag_key(structure: FinStructure, tup: tuple[int, ...]) -> tuple:
-    """Atomic diagram of a tuple: equality pattern plus the truth of every
-    relation atom over positions. Two tuples get the same key iff they satisfy
-    the same quantifier-free formulas in the variables of their positions."""
-    eqpat = tuple(
-        tuple(int(tup[i] == tup[j]) for j in range(len(tup))) for i in range(len(tup))
-    )
-    rows = []
+def _atoms(
+    structure: FinStructure, ids: tuple[int, ...], n_old: int
+) -> Iterator[tuple[Optional[str], tuple[int, ...], bool]]:
+    """The atomic diagram of ids, atom by atom: (None, (i, j), ids[i] ==
+    ids[j]) for each pair of positions i < j, then (rel, positions, fact)
+    for each relation and each tuple of positions. Only the atoms that
+    mention a position >= n_old are yielded, so never a nullary one."""
+    n = len(ids)
+    for j in range(n_old, n):
+        for i in range(j):
+            yield None, (i, j), ids[i] == ids[j]
     for rel, ar in structure.signature.relations:
-        cells = []
-        for pos in itertools.product(range(len(tup)), repeat=ar):
-            cells.append(int(structure.has_fact(rel, tuple(tup[p] for p in pos))))
-        rows.append((rel, tuple(cells)))
-    return (eqpat, tuple(rows))
+        for pos in itertools.product(range(n), repeat=ar):
+            if max(pos, default=-1) >= n_old:
+                yield rel, pos, structure.has_fact(rel, tuple([ids[p] for p in pos]))
+
+
+def diag_key(structure: FinStructure, tup: tuple[int, ...]) -> tuple:
+    """Atomic diagram of a tuple as a comparison key: the truth of every
+    atom over its positions (_atoms). Two tuples of one length get the same
+    key iff they satisfy the same quantifier-free formulas in the variables
+    of their positions."""
+    return tuple([holds for _, _, holds in _atoms(structure, tup, 0)])
+
+
+def diagram(
+    structure: FinStructure, ids: tuple[int, ...], names: tuple[str, ...], n_old: int
+) -> list[Formula]:
+    """The atomic diagram of ids as literals over names, names[i] standing
+    for ids[i]: each atom that mentions a position >= n_old, negated where
+    it fails. ids satisfy the conjunction, and a tuple agreeing with ids on
+    the first n_old positions satisfies it iff it has ids' diag_key."""
+    lits: list[Formula] = []
+    for rel, pos, holds in _atoms(structure, ids, n_old):
+        args = tuple([names[p] for p in pos])
+        atom = Eq(*args) if rel is None else RelAtom(rel, args)
+        lits.append(atom if holds else Not(atom))
+    return lits
 
 
 def qf_type_equal(

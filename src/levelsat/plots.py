@@ -12,6 +12,7 @@ from .dimension import DimTrend
 
 _COLORS = ("#1965b0", "#dc050c", "#4eb265", "#f7a600", "#882e72", "#666666")
 _FONT = "font-family='Helvetica,Arial,sans-serif'"
+_WIDTH, _HEIGHT = 720, 400
 
 
 def trend_plot_svg(
@@ -19,15 +20,13 @@ def trend_plot_svg(
     *,
     window: int = 0,
     caption: str = "",
-    width: int = 720,
-    height: int = 400,
 ) -> str:
     """One figure comparing the trends. window > 0 shades the final
     `window` stages, the region a comparator verdict would read."""
     if not trends:
         raise ValueError("nothing to plot")
     ml, mr, mt, mb = 56, 16, 18, 52
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
     x0 = min(t.start_stage for t in trends)
     x1 = max(t.end_stage for t in trends)
     span = max(1, x1 - x0)
@@ -43,9 +42,9 @@ def trend_plot_svg(
         return mt + ph - v / y1 * ph
 
     out = [
-        f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' height='{height}' "
-        f"viewBox='0 0 {width} {height}'>",
-        f"<rect width='{width}' height='{height}' fill='white'/>",
+        f"<svg xmlns='http://www.w3.org/2000/svg' width='{_WIDTH}' height='{_HEIGHT}' "
+        f"viewBox='0 0 {_WIDTH} {_HEIGHT}'>",
+        f"<rect width='{_WIDTH}' height='{_HEIGHT}' fill='white'/>",
     ]
     if window > 0:
         wx = X(max(x0, x1 - window + 1))
@@ -117,7 +116,7 @@ def trend_plot_svg(
         ly += 16
     if caption:
         out.append(
-            f"<text x='{ml}' y='{height - 6}' {_FONT} font-size='12'>{escape(caption)}</text>"
+            f"<text x='{ml}' y='{_HEIGHT - 6}' {_FONT} font-size='12'>{escape(caption)}</text>"
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -2,6 +2,8 @@
 
 A plugin owns a relational signature, the universal axioms of its theory,
 and a list of AE axioms (forall x-bar exists y-bar, quantifier-free matrix).
+It declares its axioms as text, one (name, formula text) pair each, and
+TheoryPlugin.__init__ parses them over the signature.
 Its oracle answers: given a structure M satisfying the universal axioms and
 a quantifier-free constraint phi(x-bar, y-bar) with x-bar bound in M, is
 there an extension of M, still satisfying the universal axioms and embeddable
@@ -121,8 +123,15 @@ class TheoryPlugin(abc.ABC):
 
     name: str = ""
     signature: Signature = Signature(())
-    universal_axioms: tuple[Axiom, ...] = ()
-    ae_axioms: tuple[Axiom, ...] = ()
+    # (name, text) pairs, parsed over the signature into universal_axioms
+    # and ae_axioms when the plugin is made
+    universal_texts: tuple[tuple[str, str], ...] = ()
+    ae_texts: tuple[tuple[str, str], ...] = ()
+
+    def __init__(self) -> None:
+        sig = self.signature
+        self.universal_axioms = tuple(_axiom(n, t, sig) for n, t in self.universal_texts)
+        self.ae_axioms = tuple(_axiom(n, t, sig) for n, t in self.ae_texts)
 
     # -- axioms --------------------------------------------------------------
 
@@ -188,7 +197,7 @@ class TheoryPlugin(abc.ABC):
             raise OracleError(f"unsplit variables {sorted(leftover)}")
         env0 = dict(zip(x_vars, a_tuple))
         pool = partial(_old_pool, M, a_tuple, allowed_old)
-        hit = self._search(M, phi, env0, tuple(y_vars), pool, min_new, len(y_vars))
+        hit = self._search(M, phi, env0, tuple(y_vars), pool, min_new)
         if hit is None:
             return None
         facts, env = hit
@@ -236,7 +245,7 @@ class TheoryPlugin(abc.ABC):
         if not parts:
             return True
         pool = tuple(sorted(set(env.values())))
-        hit = self._search(M, conjoin(parts), env, tuple(x_vars), lambda: pool, 0, len(x_vars))
+        hit = self._search(M, conjoin(parts), env, tuple(x_vars), lambda: pool, 0)
         return hit is not None
 
     # -- the pattern search ------------------------------------------------------
@@ -249,18 +258,17 @@ class TheoryPlugin(abc.ABC):
         y_vars: tuple[str, ...],
         pool: Callable[[], Sequence[int]],
         kmin: int,
-        kmax: int,
     ) -> Optional[tuple[list[tuple[str, tuple[int, ...]]], dict[str, int]]]:
         """Backtracking over slot assignments. Old ids come from pool(),
         called once, when a slot first may take one. Fresh slots are negative
         markers -1, -2, ... introduced in first-use order; pass k admits
-        exactly k distinct markers, for k from kmin to kmax, so
+        exactly k distinct markers, for k from kmin to len(y_vars), so
         fewer-new-element witnesses win. Returns (new facts over terms,
         full term environment) or None."""
         parts = conjuncts(phi)
         atom = partial(self._slot_atom, M, None)
         old: list[Sequence[int]] = []  # [pool()] once a slot has asked
-        for k in range(kmin, kmax + 1):
+        for k in range(kmin, len(y_vars) + 1):
 
             def candidates(i: int, env: dict[str, int]) -> tuple[int, ...]:
                 used = _markers(env)
@@ -310,14 +318,10 @@ class InfiniteSetTheory(TheoryPlugin):
 
     name = "infinite_set"
     signature = Signature(())
-
-    def __init__(self) -> None:
-        sig = self.signature
-        self.universal_axioms = ()
-        self.ae_axioms = (
-            _axiom("another", "!(y0 = x0)", sig),
-            _axiom("third", "!(y0 = x0) & !(y0 = x1)", sig),
-        )
+    ae_texts = (
+        ("another", "!(y0 = x0)"),
+        ("third", "!(y0 = x0) & !(y0 = x1)"),
+    )
 
     def _slot_atom(self, M, val, rel, terms):
         raise OracleError(f"no relation {rel!r} in the empty signature")
@@ -391,18 +395,15 @@ class RandomGraphTheory(_GraphTheory):
 
     name = "random_graph"
     signature = Signature((("R", 2),))
-
-    def __init__(self) -> None:
-        sig = self.signature
-        self.universal_axioms = (
-            _axiom("irreflexive", "!R(x0, x0)", sig),
-            _axiom("symmetric", "!R(x0, x1) | R(x1, x0)", sig),
-        )
-        self.ae_axioms = (
-            _axiom("neighbor", "R(x0, y0)", sig),
-            _axiom("non_neighbor", "!R(x0, y0) & !(y0 = x0)", sig),
-            _axiom("common_neighbor", "R(x0, y0) & R(x1, y0)", sig),
-        )
+    universal_texts = (
+        ("irreflexive", "!R(x0, x0)"),
+        ("symmetric", "!R(x0, x1) | R(x1, x0)"),
+    )
+    ae_texts = (
+        ("neighbor", "R(x0, y0)"),
+        ("non_neighbor", "!R(x0, y0) & !(y0 = x0)"),
+        ("common_neighbor", "R(x0, y0) & R(x1, y0)"),
+    )
 
 
 class HensonTriangleFreeTheory(_GraphTheory):
@@ -411,19 +412,16 @@ class HensonTriangleFreeTheory(_GraphTheory):
 
     name = "henson_triangle_free"
     signature = Signature((("R", 2),))
-
-    def __init__(self) -> None:
-        sig = self.signature
-        self.universal_axioms = (
-            _axiom("irreflexive", "!R(x0, x0)", sig),
-            _axiom("symmetric", "!R(x0, x1) | R(x1, x0)", sig),
-            _axiom("triangle_free", "!R(x0, x1) | !R(x1, x2) | !R(x0, x2)", sig),
-        )
-        self.ae_axioms = (
-            _axiom("neighbor", "R(x0, y0)", sig),
-            _axiom("non_neighbor", "!R(x0, y0) & !(y0 = x0)", sig),
-            _axiom("spread_pair", "R(x0, x1) | (R(y0, x0) & R(y0, x1))", sig),
-        )
+    universal_texts = (
+        ("irreflexive", "!R(x0, x0)"),
+        ("symmetric", "!R(x0, x1) | R(x1, x0)"),
+        ("triangle_free", "!R(x0, x1) | !R(x1, x2) | !R(x0, x2)"),
+    )
+    ae_texts = (
+        ("neighbor", "R(x0, y0)"),
+        ("non_neighbor", "!R(x0, y0) & !(y0 = x0)"),
+        ("spread_pair", "R(x0, x1) | (R(y0, x0) & R(y0, x1))"),
+    )
 
     def _edges_ok(self, M, env, val) -> bool:
         """No true fresh pair closes a triangle. The third vertex w must be
@@ -459,26 +457,20 @@ class GenericEquivalenceTheory(TheoryPlugin):
 
     name = "generic_equivalence"
     signature = Signature((("E", 2),))
-
-    def __init__(self) -> None:
-        sig = self.signature
-        self.universal_axioms = (
-            _axiom("reflexive", "E(x0, x0)", sig),
-            _axiom("symmetric", "!E(x0, x1) | E(x1, x0)", sig),
-            _axiom("transitive", "!E(x0, x1) | !E(x1, x2) | E(x0, x2)", sig),
-        )
-        spread = []
-        ys = [f"y{i}" for i in range(8)]
-        for y in ys:
-            spread.append(Not(RelAtom("E", ("x0", y))))
-        for i in range(8):
-            for j in range(i + 1, 8):
-                spread.append(Not(RelAtom("E", (ys[i], ys[j]))))
-        self.ae_axioms = (
-            _axiom("classmate", "E(x0, y0) & !(y0 = x0)", sig),
-            Axiom("class_spread8", conjoin(spread), ("x0",), tuple(ys)),
-            _axiom("classmate_avoiding", "E(x0, y0) & !(y0 = x0) & !(y0 = x1)", sig),
-        )
+    universal_texts = (
+        ("reflexive", "E(x0, x0)"),
+        ("symmetric", "!E(x0, x1) | E(x1, x0)"),
+        ("transitive", "!E(x0, x1) | !E(x1, x2) | E(x0, x2)"),
+    )
+    ae_texts = (
+        ("classmate", "E(x0, y0) & !(y0 = x0)"),
+        # eight new points in eight new classes, none of them x0's
+        ("class_spread8", " & ".join(
+            [f"!E(x0, y{i})" for i in range(8)]
+            + [f"!E(y{i}, y{j})" for i, j in itertools.combinations(range(8), 2)]
+        )),
+        ("classmate_avoiding", "E(x0, y0) & !(y0 = x0) & !(y0 = x1)"),
+    )
 
     def _class_label(self, M: FinStructure, e: int) -> tuple[str, int]:
         return ("old", min(M.neighbours("E", 1, e), default=e))

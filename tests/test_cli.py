@@ -238,6 +238,12 @@ def _swap_records(doc):
     return doc
 
 
+def _extra_relation(doc):
+    doc["final"]["signature"].append(["S", 1])
+    doc["final"]["facts"]["S"] = [[0]]
+    return doc
+
+
 def _set_born(i, value):
     def edit(doc):
         doc["born"][i] = value
@@ -290,6 +296,9 @@ def _set_born(i, value):
         _set_at(R11, a=[0]),
         _swap_records,
         _set_at(R3, new_ids=[0], witness=[0]),
+        lambda doc: {**doc, "plugin": "zfc"},
+        lambda doc: {**doc, "plugin": "random_graph"},
+        _extra_relation,
     ],
     ids=[
         "list", "string", "old-format", "old-format-no-stages", "born-short",
@@ -302,7 +311,8 @@ def _set_born(i, value):
         "stage-not-list", "entry-not-list", "case-7", "a-dangling",
         "witness-dangling", "case3-witness", "case3-new-ids", "born-decreasing",
         "born-decreasing-orphan",        "a-outside-v-before", "a-wrong-length", "a-in-covered-prefix",
-        "records-out-of-order", "new-ids-frozen-level",
+        "records-out-of-order", "new-ids-frozen-level", "plugin-unknown",
+        "plugin-other-signature", "signature-extra-relation",
     ],
 )
 def test_malformed_chain_file_is_a_usage_error(equiv_build, tmp_path, corrupt):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from levelsat.dimension import BOUNDED, DIVERGES_NEG, INCONCLUSIVE
+from levelsat.dimension import BOUNDED, DIVERGES_NEG, INCONCLUSIVE, trend
 from levelsat.dividing import (
     DropEntry,
     certify_dividing,
@@ -13,7 +13,7 @@ from levelsat.dividing import (
 from levelsat.evaluator import DefinableSet, qf_type_equal
 from levelsat.formula import fin, omega_plus, parse
 from levelsat.structures import ExtensionDelta, apply_delta
-from levelsat.theory import get_plugin
+from levelsat.theory import PLUGINS, get_plugin
 
 EQUIV = get_plugin("generic_equivalence")
 RADO = get_plugin("random_graph")
@@ -110,6 +110,27 @@ def test_k1_unrealizable_gives_singleton_family(equiv30):
     assert w.confirmations == ((0,),)
 
 
+@pytest.mark.parametrize(
+    "text, b, L, grown, last, size",
+    [
+        ("E(x0, y0)", (1,), 40, 23, (50,), 51),
+        ("E(x0, y0) & !(x0 = y1)", (1, 2), 30, 21, (60, 61), 62),
+    ],
+)
+def test_certificate_grows_fresh_instances(chains12, text, b, L, grown, last, size):
+    """The greedy pass runs out of instances on the 12-stage chain, so the
+    oracle grows the rest, each a fresh copy of b's diagram apart from the
+    family so far."""
+    chain = chains12["generic_equivalence"]
+    w = certify_dividing(EQUIV, chain, parse(text, EQUIV.signature), (), b, k=2, L=L)
+    assert w is not None
+    assert w.grown == grown
+    assert len(w.instances) == L and w.instances[-1] == last
+    assert w.structure.size() == size
+    assert all(w.type_confirmations)
+    assert EQUIV.validate_t_forall(w.structure) == []
+
+
 def test_no_certificate_on_random_graph(rado30):
     phi = parse("R(x0, y0)", RADO.signature)
     b = min(e for e in rado30.final.universe if rado30.final.level_of(e) == fin(1))
@@ -190,3 +211,30 @@ def test_random_graph_drops_are_never_certified(rado30):
     assert flagged is None or certify_dividing(
         RADO, rado30, phi, (), flagged.instance, k=2, L=3
     ) is None
+
+
+@pytest.mark.parametrize("name", sorted(PLUGINS))
+def test_drop_survey_skips_exactly_the_late_trends(chains12, name):
+    """A candidate is skipped exactly when its trend starts after the
+    window opens. The windows open at the first and the last birth stage
+    strictly between 0 and the final stage, so some candidate is born
+    exactly at the window start."""
+    plugin, chain = get_plugin(name), chains12[name]
+    sig = plugin.signature
+    phi = parse("x0 = y0" if not sig.relations else f"{sig.names()[0]}(x0, y0)", sig)
+    psi = _ambient(sig)
+    b = min(e for e in chain.final.universe if chain.final.level_of(e) == fin(1))
+    births = sorted({chain.born_at[e] for e in chain.final.universe} - {0, chain.n_stages})
+    assert births
+    for start in (births[0], births[-1]):
+        window = chain.n_stages - start + 1
+        rep = find_dimension_drop(chain, psi, phi, (), (b,), window=window)
+        pool = sorted(rep.skipped_late + tuple(e.instance for e in rep.entries))
+        assert len(pool) == rep.candidates_total
+        late = {
+            c for c in pool
+            if trend(chain, DefinableSet(phi, ("x0",), (("y0", c[0]),), OMEGA)).start_stage > start
+        }
+        assert any(chain.born_at[c[0]] == start for c in pool)
+        assert rep.skipped_late == tuple(c for c in pool if c in late)
+        assert tuple(e.instance for e in rep.entries) == tuple(c for c in pool if c not in late)

@@ -12,6 +12,7 @@ from levelsat.evaluator import (
     EvalError,
     count,
     diag_key,
+    diagram,
     evaluate,
     find_witness,
     qf_type_equal,
@@ -26,6 +27,7 @@ from levelsat.formula import (
     Or,
     RelAtom,
     Signature,
+    conjoin,
     fin,
     free_vars,
     nnf,
@@ -33,6 +35,7 @@ from levelsat.formula import (
     parse,
 )
 from levelsat.structures import ExtensionDelta, FinStructure, apply_delta
+from levelsat.theory import PLUGINS
 
 from test_formula import _formulas
 
@@ -224,6 +227,37 @@ def test_diag_key_separates_equality_patterns():
     M = _graph((), ((0, fin(0)), (1, fin(0))))
     assert diag_key(M, (0, 0)) != diag_key(M, (0, 1))
     assert diag_key(M, (0, 0)) == diag_key(M, (1, 1))
+
+
+@pytest.mark.parametrize("name", sorted(PLUGINS))
+def test_diagram_matches_diag_key_by_product_scan(name):
+    """On random structures over each bundled signature, diagram(M, ids,
+    names, n_old) mentions a position >= n_old in every literal, holds of
+    ids, and holds of a tuple that agrees with ids on the first n_old
+    positions exactly when that tuple has ids' diag_key."""
+    sig = PLUGINS[name].signature
+    rng, n = random.Random(name), 4
+    for _ in range(20):
+        facts = [
+            (rel, t)
+            for rel, ar in sig.relations
+            for t in itertools.product(range(n), repeat=ar)
+            if rng.random() < 0.5
+        ]
+        M = FinStructure(sig, tuple((e, fin(0)) for e in range(n)), tuple(facts))
+        for length in (1, 2, 3):
+            ids = tuple(rng.randrange(n) for _ in range(length))
+            names = tuple(f"v{i}" for i in range(length))
+            for n_old in range(length + 1):
+                lits = diagram(M, ids, names, n_old)
+                for lit in lits:
+                    assert max(names.index(v) for v in free_vars(lit)) >= n_old
+                f = conjoin(lits) if lits else Eq("v0", "v0")
+                assert evaluate(M, f, dict(zip(names, ids)))
+                for tail in itertools.product(M.universe, repeat=length - n_old):
+                    c = ids[:n_old] + tail
+                    want = diag_key(M, c) == diag_key(M, ids)
+                    assert evaluate(M, f, dict(zip(names, c))) == want, (ids, c, n_old)
 
 
 # -- the shared walker and search against naive references --------------------------
