@@ -22,10 +22,13 @@ or usage error; 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import yaml
 
@@ -36,7 +39,7 @@ from .construction import (
     load_chain,
     serialize_chain,
 )
-from .dimension import dim_compare, export_trend_csv, trend
+from .dimension import VERDICTS, dim_compare, export_trend_csv, trend
 from .dividing import certify_dividing, find_dimension_drop
 from .evaluator import DefinableSet
 from .formula import (
@@ -111,6 +114,16 @@ def _shaped(value, kind: type, what: str):
     return value
 
 
+def _comparator(window, bound) -> tuple[int, float]:
+    """The comparator's window and bound, from the config or an override.
+    A bool is no number here, although Python counts true as the int 1."""
+    if type(window) is not int or window < 2:
+        raise ConfigError("comparator window must be an integer >= 2")
+    if type(bound) not in (int, float) or not (math.isfinite(bound) and bound > 0):
+        raise ConfigError("comparator bound must be a finite positive number")
+    return window, float(bound)
+
+
 def load_config(path: str) -> Config:
     try:
         doc = yaml.safe_load(Path(path).read_text())
@@ -127,21 +140,16 @@ def load_config(path: str) -> Config:
         )
     sig = get_plugin(name).signature
     stages = doc.get("stages", 0)
-    if not isinstance(stages, int) or stages < 0:
+    if type(stages) is not int or stages < 0:
         raise ConfigError("stages must be a nonnegative integer")
     kind = doc.get("schedule", "seeded")
     if kind not in ("seeded", "fair"):
         raise ConfigError("schedule must be 'seeded' or 'fair'")
     horizon = doc.get("horizon", 4)
-    if not isinstance(horizon, int) or horizon < 1:
+    if type(horizon) is not int or horizon < 1:
         raise ConfigError("horizon must be a positive integer")
     comp = _shaped(doc.get("comparator"), dict, "comparator")
-    window = comp.get("window", 10)
-    bound = comp.get("bound", 2.0)
-    if not isinstance(window, int) or window < 2:
-        raise ConfigError("comparator window must be an integer >= 2")
-    if not isinstance(bound, (int, float)) or bound <= 0:
-        raise ConfigError("comparator bound must be positive")
+    window, bound = _comparator(comp.get("window", 10), comp.get("bound", 2.0))
 
     def parse_formula(text) -> Formula:
         if not isinstance(text, str):
@@ -196,7 +204,7 @@ def load_config(path: str) -> Config:
             raise ConfigError(f"dividing {dname!r}: unknown psi set {psi!r}")
         k = spec.get("k", 2)
         L = spec.get("L", 3)
-        if not (isinstance(k, int) and isinstance(L, int) and 1 <= k <= L):
+        if not (type(k) is int and type(L) is int and 1 <= k <= L):
             raise ConfigError(f"dividing {dname!r}: need integers 1 <= k <= L")
         dividing.append(
             DivideSpec(
@@ -211,7 +219,7 @@ def load_config(path: str) -> Config:
         )
 
     return Config(
-        name, stages, kind, horizon, window, float(bound),
+        name, stages, kind, horizon, window, bound,
         sets, tuple(comparisons), tuple(dividing),
     )
 
@@ -246,11 +254,8 @@ def _schedule_for(cfg: Config, count: int) -> tuple[ScheduleEntry, ...]:
     return tuple(seeded_schedule(plugin.signature, plugin.seeds(), count, cfg.horizon))
 
 
-def _level_histogram(M: FinStructure) -> str:
-    counts: dict[LevelOrdinal, int] = {}
-    for e in M.universe:
-        lv = M.level_of(e)
-        counts[lv] = counts.get(lv, 0) + 1
+def _level_histogram(M: FinStructure, ids: Sequence[int]) -> str:
+    counts = Counter(map(M.level_of, ids))
     return " ".join(f"{lv.render()}:{n}" for lv, n in sorted(counts.items()))
 
 
@@ -281,7 +286,7 @@ def cmd_build(cfg: Config, out_dir: Path, stages: Optional[int]) -> int:
         f"plugin {cfg.plugin}, {n} stages, schedule {cfg.schedule_kind} "
         f"(horizon {cfg.horizon})"
     )
-    print(f"final size {final.size()}; levels {_level_histogram(final)}")
+    print(f"final size {final.size()}; levels {_level_histogram(final, final.universe)}")
     _write(out_dir / f"{cfg.plugin}.chain.json", serialize_chain(chain))
     _write(out_dir / f"{cfg.plugin}.audit.txt", _audit_text(chain))
     return 0
@@ -437,6 +442,12 @@ def cmd_divide(
     )
 
 
+EXPECT_TOKENS = {
+    "dim": frozenset(f"{kind}={v}" for kind in ("verdict", "any-verdict") for v in VERDICTS),
+    "divide": frozenset(("certified", "not-certified", "drop")),
+}
+
+
 def _check_expect(
     expect: list[str],
     verdicts: Optional[list[str]] = None,
@@ -444,21 +455,18 @@ def _check_expect(
     dropped: Optional[bool] = None,
 ) -> int:
     failed = []
-    for token in expect:
-        if token == "certified":
+    for token in expect:  # each one of EXPECT_TOKENS
+        kind, _, want = token.partition("=")
+        if kind == "certified":
             ok = bool(certified)
-        elif token == "not-certified":
+        elif kind == "not-certified":
             ok = certified is False
-        elif token == "drop":
+        elif kind == "drop":
             ok = bool(dropped)
-        elif token.startswith("verdict="):
-            want = token.split("=", 1)[1]
+        elif kind == "verdict":
             ok = verdicts is not None and all(v == want for v in verdicts)
-        elif token.startswith("any-verdict="):
-            want = token.split("=", 1)[1]
-            ok = verdicts is not None and want in verdicts
         else:
-            raise ConfigError(f"unknown --expect token {token!r}")
+            ok = verdicts is not None and want in verdicts
         if not ok:
             failed.append(token)
     if failed:
@@ -468,10 +476,14 @@ def _check_expect(
 
 
 def cmd_export(chain: StageChain, stem: str, out_dir: Path) -> int:
-    _write(out_dir / f"{stem}.final.json", chain.final.to_json() + "\n")
+    final = chain.final
+    _write(out_dir / f"{stem}.final.json", final.to_json() + "\n")
     rows = ["stage,size,levels"]
-    for n, M in enumerate(chain.stages):
-        rows.append(f"{n},{M.size()},{_level_histogram(M)}")
+    for n in range(chain.n_stages + 1):
+        # stage n holds the elements born by n: a prefix, as the loader
+        # keeps birth stamps nondecreasing in id order
+        ids = final.universe[: bisect_right(chain.born, n)]
+        rows.append(f"{n},{len(ids)},{_level_histogram(final, ids)}")
     _write(out_dir / f"{stem}.stages.csv", "\n".join(rows) + "\n")
     return 0
 
@@ -527,23 +539,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "schedule":
             cfg = load_config(args.config)
             return cmd_schedule(cfg, args.count)
-        if args.command == "dim":
+        if args.command in ("dim", "divide"):
+            for token in args.expect:  # refused before any work
+                if token not in EXPECT_TOKENS[args.command]:
+                    raise ConfigError(f"unknown --expect token {token!r} for {args.command}")
             cfg = load_config(args.config)
-            chain = _load_chain_file(args.chain, cfg.plugin)
-            return cmd_dim(
-                cfg, chain,
-                args.window if args.window is not None else cfg.window,
-                args.bound if args.bound is not None else cfg.bound,
-                Path(args.out_dir), args.expect,
+            window, bound = _comparator(
+                cfg.window if args.window is None else args.window,
+                cfg.bound if args.bound is None else args.bound,
             )
-        if args.command == "divide":
-            cfg = load_config(args.config)
             chain = _load_chain_file(args.chain, cfg.plugin)
+            if args.command == "dim":
+                return cmd_dim(cfg, chain, window, bound, Path(args.out_dir), args.expect)
             return cmd_divide(
-                cfg, chain,
-                args.window if args.window is not None else cfg.window,
-                args.bound if args.bound is not None else cfg.bound,
-                args.seed, Path(args.out_dir), args.expect,
+                cfg, chain, window, bound, args.seed, Path(args.out_dir), args.expect
             )
         if args.command == "export":
             chain = _load_chain_file(args.chain)

@@ -380,7 +380,6 @@ def embed_model(
         raise ConstructionError("signature mismatch")
     M = chain.final
     mapping: dict[int, int] = {}
-    placed: list[int] = []
     sources = list(A.universe)
     for i, a in enumerate(sources):
         bound = fin(i + 1)
@@ -403,7 +402,6 @@ def embed_model(
             M = apply_delta(M, ext.delta)
         img = ext.witness[0]
         mapping[a] = img
-        placed.append(a)
         got = diag_key(M, tuple(mapping[s] for s in sources[: i + 1]))
         want = diag_key(A, tuple(sources[: i + 1]))
         if got != want:

@@ -22,6 +22,7 @@ BOUNDED = "Bounded"
 DIVERGES_POS = "DivergesPos"
 DIVERGES_NEG = "DivergesNeg"
 INCONCLUSIVE = "Inconclusive"
+VERDICTS = (BOUNDED, DIVERGES_POS, DIVERGES_NEG, INCONCLUSIVE)
 
 _EPS = 1e-9
 

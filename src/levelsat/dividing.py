@@ -46,13 +46,12 @@ def _matching_tuples(
 ) -> list[tuple[int, ...]]:
     """All tuples with the quantifier-free type of b_ids over a_ids, in
     ascending order; a seeded sample (always keeping b_ids) when there are
-    more than _MAX_POOL."""
-    target = diag_key(M, a_ids + b_ids)
-    pool = [
-        c
-        for c in itertools.product(M.universe, repeat=len(b_ids))
-        if diag_key(M, a_ids + c) == target
-    ]
+    more than _MAX_POOL. The tuples are the solutions of b's diagram over
+    a, searched through the neighbour index."""
+    if not b_ids:
+        return [()]  # the one tuple of length 0
+    chi, p_vars, w_vars, p_ids = _type_formula(M, a_ids, b_ids, ())
+    pool = solutions(M, DefinableSet(chi, w_vars, tuple(zip(p_vars, p_ids))))
     if len(pool) > _MAX_POOL:
         rng = random.Random(seed)
         keep = set(rng.sample(range(len(pool)), _MAX_POOL - 1))
@@ -89,15 +88,17 @@ def _next_fin_level(M: FinStructure):
     return fin(top + 1)
 
 
-def _apartness_extension_formula(
+def _type_formula(
     M: FinStructure,
     a_ids: tuple[int, ...],
     b_ids: tuple[int, ...],
     family_ids: tuple[int, ...],
 ) -> tuple[Formula, tuple[str, ...], tuple[str, ...], tuple[int, ...]]:
-    """A formula asking for a fresh copy of b_ids over a_ids, apart from the
+    """A formula asking for a copy of b_ids over a_ids, apart from the
     listed family elements: the copy repeats b's diagram over a exactly and
-    carries no relation to, and no equality with, any family element.
+    carries no relation to, and no equality with, any family element. With
+    no family it is b's diagram over a, the quantifier-free type itself.
+    b_ids must not be empty.
 
     Returns (formula, param_vars, witness_vars, param_ids)."""
     p_vars = tuple(f"p{i}" for i in range(len(a_ids)))
@@ -177,7 +178,7 @@ def certify_dividing(
     target = diag_key(M, a_ids + b_ids)
     while len(family) < L:
         fam_ids = tuple(sorted({e for c in family for e in c if e not in a_ids}))
-        chi, p_vars, w_vars, p_ids = _apartness_extension_formula(M, a_ids, b_ids, fam_ids)
+        chi, p_vars, w_vars, p_ids = _type_formula(M, a_ids, b_ids, fam_ids)
         ext = plugin.extends_with_witness(
             M,
             chi,

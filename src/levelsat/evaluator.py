@@ -5,18 +5,23 @@ truth() evaluates a formula in Kleene's three-valued logic under an atom
 function that may leave atoms undecided; evaluate() is its two-valued use on
 a structure. backtrack() assigns variables left to right from candidates the
 caller supplies and prunes a branch as soon as a top-level conjunct is
-False; find_witness, solutions and the theory oracle's pattern search
-(theory.TheoryPlugin._search) all run on it. Where each conjunct is checked
+False; the theory oracle's pattern search (theory.TheoryPlugin._search)
+and the one search stream, _hits, run on it. Where each conjunct is checked
 is worked out once per formula and variable order and cached.
 
-find_witness and solutions take a slot's candidates from the structure's
-neighbour index when a positive binary atom that is itself a top-level
-conjunct, R(v, y) or R(y, v), ties the slot y to a variable v bound before
-it: the slot then ranges over the neighbours of v, intersected over every
-such atom, cut to V_cap and ascending. Every value this drops fails that
-conjunct, and the rest keep V_cap's order, so the hits and their order are
-those of the plain scan. Atoms under Not, R(y, y), and atoms whose other
-variable is assigned later narrow nothing.
+_hits yields the tuples over V_cap that satisfy a formula, lexicographic and
+each once; solutions() is the whole stream and find_witness() its first
+tuple. The dividing pool, the tuples of b-bar's quantifier-free type over
+a-bar, is solutions() of b-bar's diagram (dividing._type_formula).
+
+_hits takes a slot's candidates from the structure's neighbour index when
+a positive binary atom that is itself a top-level conjunct, R(v, y) or
+R(y, v), ties the slot y to a variable v bound before it: the slot then
+ranges over the neighbours of v, intersected over every such atom, cut to
+V_cap and ascending. Every value this drops fails that conjunct, and the
+rest keep V_cap's order, so the hits and their order are those of the
+plain scan. Atoms under Not, R(y, y), and atoms whose other variable is
+assigned later narrow nothing.
 
 A formula whose top level is an Or tree is searched branch by branch: each
 disjunct gets its own plan, ties and candidates, and the branches' hits,
@@ -257,40 +262,34 @@ def _indexed(
     return candidates
 
 
-def _merged(
+def _hits(
     structure: FinStructure,
-    plan: _Plan,
+    formula: Formula,
     env: dict[str, int],
     order: tuple[str, ...],
     cap: Optional[LevelOrdinal],
 ) -> Iterator[tuple[int, ...]]:
-    """The hits of a top-level Or, lexicographic and each once: the merged
-    hits of its branches (plan.branches), each searched on its own (module
-    docstring). A free variable of any branch that env leaves unbound raises
-    EvalError here, before any branch is searched."""
-    _check_bound(plan, env)
-    streams = []
-    for b in plan.branches:
-        hits = backtrack(
-            b, env, order, _indexed(structure, _plan(b, order), cap),
-            structure.has_fact, structure.v_ids,
-        )
-        streams.append(tuple(hit[v] for v in order) for hit in hits)
-    return (t for t, _ in itertools.groupby(heapq.merge(*streams)))
+    """The one search stream: every tuple over V_cap, for the variables in
+    order, that satisfies formula under env, lexicographic and each once
+    (module docstring). A top-level Or checks env against every branch's
+    free variables before any branch is searched, so an unbound variable
+    raises EvalError here; otherwise on the first step."""
+    plan = _plan(formula, order)
+    if plan.branches:
+        _check_bound(plan, env)
+        streams = [_hits(structure, b, env, order, cap) for b in plan.branches]
+        return (t for t, _ in itertools.groupby(heapq.merge(*streams)))
+    hits = backtrack(
+        formula, env, order, _indexed(structure, plan, cap),
+        structure.has_fact, structure.v_ids,
+    )
+    return (tuple([hit[v] for v in order]) for hit in hits)
 
 
 def solutions(structure: FinStructure, dset: DefinableSet) -> list[tuple[int, ...]]:
     """All solution tuples, lexicographic in ids. Unbound leftover variables
     raise EvalError."""
-    f, order = dset.formula, dset.vars
-    plan = _plan(f, order)
-    if plan.branches:
-        return list(_merged(structure, plan, dset.env(), order, dset.cap))
-    hits = backtrack(
-        f, dset.env(), order, _indexed(structure, plan, dset.cap),
-        structure.has_fact, structure.v_ids,
-    )
-    return [tuple(env[v] for v in order) for env in hits]
+    return list(_hits(structure, dset.formula, dset.env(), dset.vars, dset.cap))
 
 
 def count(structure: FinStructure, dset: DefinableSet) -> int:
@@ -306,16 +305,7 @@ def find_witness(
 ) -> Optional[tuple[int, ...]]:
     """First tuple over V_cap (lexicographic) satisfying formula, or None:
     the first of solutions() of the capped set, without computing the rest."""
-    plan = _plan(formula, witness_vars)
-    if plan.branches:
-        return next(_merged(structure, plan, env, witness_vars, cap), None)
-    hits = backtrack(
-        formula, env, witness_vars, _indexed(structure, plan, cap),
-        structure.has_fact, structure.v_ids,
-    )
-    for hit in hits:
-        return tuple(hit[v] for v in witness_vars)
-    return None
+    return next(_hits(structure, formula, env, witness_vars, cap), None)
 
 
 def _atoms(

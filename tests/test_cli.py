@@ -146,6 +146,21 @@ def test_export_writes_final_and_stage_table(equiv_build, tmp_path):
     assert table[-1].startswith("30,92,")
 
 
+@pytest.mark.parametrize("name", ["generic_equivalence", "random_graph"])
+def test_export_stage_table_matches_the_replay(chains12, tmp_path, name):
+    """export reads each stage as a prefix of the final universe; the
+    table is the one the replayed stages give."""
+    from levelsat import cli
+
+    chain = chains12[name]
+    cli.cmd_export(chain, name, tmp_path)
+    want = ["stage,size,levels"] + [
+        f"{n},{M.size()},{cli._level_histogram(M, M.universe)}"
+        for n, M in enumerate(chain.stages)
+    ]
+    assert (tmp_path / f"{name}.stages.csv").read_text() == "\n".join(want) + "\n"
+
+
 def test_unknown_plugin_lists_available(tmp_path):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("plugin: zfc\nstages: 2\n")
@@ -439,6 +454,78 @@ def test_unknown_expect_token(equiv_build, tmp_path):
         "--expect", "bogus",
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "where, key, value",
+    [
+        (None, "stages", True),
+        (None, "horizon", True),
+        ("dividing", "k", True),
+        ("dividing", "L", True),
+        ("comparator", "window", True),
+        ("comparator", "bound", True),
+        ("comparator", "bound", float("nan")),
+        ("comparator", "bound", float("inf")),
+        ("comparator", "bound", 0),
+    ],
+)
+def test_config_numbers_must_be_plain(tmp_path, where, key, value):
+    """A bool is no count, and the bound is a finite positive number."""
+    doc = yaml.safe_load((CONFIGS / "equivalence_drop.yaml").read_text())
+    if where == "dividing":
+        doc["dividing"][0][key] = value
+    elif where == "comparator":
+        doc.setdefault("comparator", {})[key] = value
+    else:
+        doc[key] = value
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    proc = run_cli("schedule", "--config", cfg, "--count", 1)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["dim", "divide"])
+@pytest.mark.parametrize(
+    "flag, value", [("--bound", 0), ("--bound", -1), ("--bound", "nan"),
+                    ("--bound", "inf"), ("--window", 1)],
+)
+def test_comparator_overrides_are_checked(equiv_build, tmp_path, command, flag, value):
+    """The overrides pass the config's own comparator check, before any
+    output is written."""
+    out, _ = equiv_build
+    proc = run_cli(
+        command,
+        "--config", CONFIGS / "equivalence_drop.yaml",
+        "--chain", out / "generic_equivalence.chain.json",
+        "--out-dir", tmp_path / "out",
+        flag, value,
+    )
+    assert proc.returncode == 2
+    assert "comparator" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, token",
+    [("dim", "certified"), ("dim", "drop"), ("dim", "verdict=Typo"),
+     ("dim", "bogus"), ("divide", "verdict=Bounded"),
+     ("divide", "any-verdict=DivergesNeg"), ("divide", "bogus")],
+)
+def test_foreign_expect_token_exits_before_work(tmp_path, command, token):
+    """A token the command never produces is a usage error, found before
+    the chain is read: the chain named here does not exist."""
+    proc = run_cli(
+        command,
+        "--config", CONFIGS / "equivalence_drop.yaml",
+        "--chain", tmp_path / "nope.chain.json",
+        "--out-dir", tmp_path / "out",
+        "--expect", token,
+    )
+    assert proc.returncode == 2
+    assert "unknown --expect token" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_two_runs_are_bit_identical(tmp_path):

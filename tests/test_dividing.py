@@ -1,7 +1,11 @@
 """Dividing certificates, the drop survey, and the covering bound."""
 
+import itertools
+import random
+
 import pytest
 
+from levelsat import dividing
 from levelsat.dimension import BOUNDED, DIVERGES_NEG, INCONCLUSIVE, trend
 from levelsat.dividing import (
     DropEntry,
@@ -10,9 +14,9 @@ from levelsat.dividing import (
     covering_check,
     find_dimension_drop,
 )
-from levelsat.evaluator import DefinableSet, qf_type_equal
+from levelsat.evaluator import DefinableSet, diag_key, qf_type_equal
 from levelsat.formula import fin, omega_plus, parse
-from levelsat.structures import ExtensionDelta, apply_delta
+from levelsat.structures import ExtensionDelta, FinStructure, apply_delta
 from levelsat.theory import PLUGINS, get_plugin
 
 EQUIV = get_plugin("generic_equivalence")
@@ -238,3 +242,104 @@ def test_drop_survey_skips_exactly_the_late_trends(chains12, name):
         assert any(chain.born_at[c[0]] == start for c in pool)
         assert rep.skipped_late == tuple(c for c in pool if c in late)
         assert tuple(e.instance for e in rep.entries) == tuple(c for c in pool if c not in late)
+
+
+# -- the pool of same-type tuples -------------------------------------------------
+
+
+def _scratch_key(M, t):
+    """A tuple's atomic diagram written out here, independent of the
+    evaluator's enumeration: its equality pattern, then every relation
+    atom over its positions."""
+    eqs = [t[i] == t[j] for i, j in itertools.combinations(range(len(t)), 2)]
+    rels = [
+        M.has_fact(rel, tuple(t[p] for p in pos))
+        for rel, ar in M.signature.relations
+        for pos in itertools.product(range(len(t)), repeat=ar)
+    ]
+    return eqs, rels
+
+
+def _scan(M, a_ids, b_ids, key):
+    """The pool by brute force: every tuple of universe^|b| whose key over
+    a_ids is b's, ascending."""
+    target = key(M, a_ids + b_ids)
+    return [
+        c for c in itertools.product(M.universe, repeat=len(b_ids))
+        if key(M, a_ids + c) == target
+    ]
+
+
+def _sampled(pool, b_ids, seed):
+    """_matching_tuples' sampling rule, applied to a scanned pool."""
+    if len(pool) <= dividing._MAX_POOL:
+        return pool
+    rng = random.Random(seed)
+    keep = set(rng.sample(range(len(pool)), dividing._MAX_POOL - 1))
+    keep.add(pool.index(b_ids))
+    return [c for i, c in enumerate(pool) if i in keep]
+
+
+def _random_structure(sig, rng, density=0.35):
+    """A structure on a few scattered ids with random facts: the pool is a
+    function of the facts alone, so no theory needs to hold."""
+    ids = sorted(rng.sample(range(30), rng.randint(3, 7)))
+    facts = [
+        (rel, t)
+        for rel, ar in sig.relations
+        for t in itertools.product(ids, repeat=ar)
+        if rng.random() < density
+    ]
+    return FinStructure(sig, tuple((e, fin(0)) for e in ids), tuple(facts))
+
+
+def _pool_cases(M, rng):
+    """(a, b) with |a| and |b| in {0, 1, 2}: random draws, which repeat
+    ids often on so few elements, plus a b that repeats an id and a b
+    that repeats a's first id. An empty b has the one candidate (); in the
+    empty signature a one-element b over no parameters has an empty
+    diagram, so every element is a candidate."""
+    for na, nb in itertools.product(range(3), repeat=2):
+        for _ in range(3):
+            a = tuple(rng.choice(M.universe) for _ in range(na))
+            yield a, tuple(rng.choice(M.universe) for _ in range(nb))
+        if nb:
+            e = rng.choice(M.universe)
+            yield a, (e,) * nb
+            if na:
+                yield a, (a[0],) * nb
+
+
+@pytest.mark.parametrize("name", sorted(PLUGINS))
+def test_matching_tuples_agrees_with_the_product_scan(name):
+    """The pool searched through the index equals the scan of every tuple
+    by diag_key, order included, and diag_key's verdicts equal those of a
+    key written out in the test."""
+    rng = random.Random(f"pool-{name}")
+    sig = get_plugin(name).signature
+    for _ in range(6):
+        M = _random_structure(sig, rng)
+        for a, b in _pool_cases(M, rng):
+            want = _scan(M, a, b, diag_key)
+            assert want == _scan(M, a, b, _scratch_key), (a, b)
+            assert dividing._matching_tuples(M, a, b, 0) == want, (a, b)
+
+
+@pytest.mark.parametrize("name", sorted(PLUGINS))
+def test_matching_tuples_samples_like_the_scan(name, monkeypatch):
+    """Above _MAX_POOL the seeded sample of the searched pool is the
+    sample of the scanned pool, and it keeps b."""
+    monkeypatch.setattr(dividing, "_MAX_POOL", 4)
+    rng = random.Random(f"sample-{name}")
+    sig = get_plugin(name).signature
+    sampled = 0
+    for density in (0.0, 0.1, 0.35):
+        M = _random_structure(sig, rng, density)
+        for a, b in _pool_cases(M, rng):
+            pool = _scan(M, a, b, diag_key)
+            sampled += len(pool) > 4
+            for seed in (0, 7):
+                got = dividing._matching_tuples(M, a, b, seed)
+                assert got == _sampled(pool, b, seed), (a, b, seed)
+                assert b in got
+    assert sampled
