@@ -6,14 +6,17 @@ For an entry (phi, x-bar, y-bar, alpha) and each parameter tuple a-bar over
 V_alpha (snapshot taken when the entry's turn starts, lexicographic order):
 
   case 1: some witness for phi(a-bar, y-bar) already lies inside V_{alpha+1};
-          the structure is unchanged and the tuple is only counted.
+          the structure is unchanged and the tuple is only counted. A turn
+          asks this of one witness test (evaluator.witnessed), made again
+          after each case-2 step: only case 2 changes M, so every answer is
+          find_witness's on the current M.
   case 2: no internal witness, but the theory oracle can realize phi in an
           extension; its witness is applied, new elements entering at exactly
           alpha+1, old witness components restricted to V_{alpha+1} so the
           witness itself lies inside V_{alpha+1}. The oracle starts at one
           fresh element (min_new=1), and that is exact: its pass with none
           would search its pool, V_{alpha+1} plus the parameters, which lie
-          in V_alpha, so exactly the ids where find_witness just failed.
+          in V_alpha, so exactly the ids where the witness test just failed.
   case 3: the oracle reports phi(a-bar, y-bar) unrealizable; unchanged. This
           verdict is final: extensions only shrink what is realizable.
 
@@ -38,7 +41,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .evaluator import diag_key, diagram, evaluate, find_witness
+from .evaluator import diag_key, diagram, evaluate, find_witness, witnessed
 from .formula import (
     Eq,
     LevelOrdinal,
@@ -162,7 +165,8 @@ def build_stage(
     frontier maps an entry key to the V_alpha its previous turn saw; it is
     updated in place. Returns the new structure and the stage audit. prev
     is not changed: the stage grows one thawed copy of it in place, one
-    delta at a time, and freezes it at the end."""
+    delta at a time, and freezes it at the end. Each turn asks case 1 of
+    one witness test, made again after each case-2 step changes M."""
     M = prev._thawed()
     audits = []
     for entry in sorted(entries, key=_turn):
@@ -175,12 +179,12 @@ def build_stage(
         skipped = _skipped(seen, k)
         todo = itertools.product(v_now, repeat=k) if seen is None else _touching(v_now, len(seen), k)
         internal, records = 0, []
+        has_witness = witnessed(M, entry.formula, entry.x_vars, entry.y_vars, succ)
         for a_bar in todo:
-            env = dict(zip(entry.x_vars, a_bar))
-            if find_witness(M, entry.formula, env, entry.y_vars, succ) is not None:
+            if has_witness(a_bar):
                 internal += 1
                 continue
-            # find_witness has just searched V_{alpha+1}, the oracle's old ids
+            # the test has just searched V_{alpha+1}, the oracle's old ids
             args = (M, entry.formula, a_bar, succ)
             kw = dict(
                 x_vars=entry.x_vars, y_vars=entry.y_vars, allowed_old=M.v_ids(succ), min_new=1
@@ -194,8 +198,8 @@ def build_stage(
                 records.append(CaseRecord(a_bar, 3, None))
                 continue
             M._extend(ext.delta)
-            wenv = dict(env)
-            wenv.update(zip(entry.y_vars, ext.witness))
+            has_witness = witnessed(M, entry.formula, entry.x_vars, entry.y_vars, succ)
+            wenv = dict(zip(entry.x_vars + entry.y_vars, a_bar + ext.witness))
             if not evaluate(M, entry.formula, wenv):
                 raise InternalFaultError(
                     f"oracle witness fails {render(entry.formula)} at {a_bar}"

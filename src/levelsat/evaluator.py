@@ -32,6 +32,14 @@ at the first merged hit. Henson's spread_pair, R(x0, x1) | (R(y0, x0) &
 R(y0, x1)), so costs the first id of V_cap or the intersection of two
 neighbour sets. Atoms under an Or inside a conjunct still narrow nothing.
 
+witnessed() answers find_witness's yes-or-no question for every parameter
+tuple of one entry's turn, on the same plan, index and descent. While the
+structure is unchanged, a tied slot's candidates are kept per binding of its
+tie variables (the class of x0 is cut to V_cap once per x0, not per (x0,
+x1)), and the tying atoms, which every index candidate satisfies, are not
+checked again; backtrack keeps them, as the oracle brings its own candidates.
+A top-level Or has a witness when some branch has one: no merge.
+
 A DefinableSet packages a formula with its solution variables, parameter
 bindings, and an optional level cap. Solutions are tuples over V_cap,
 enumerated in lexicographic id order; counts are exact ints.
@@ -145,12 +153,13 @@ class _Plan:
     (due[0]: those env alone binds); outside holds the free variables env
     must bind; ties[i] lists (rel, pos, v) for each top-level atom with v at
     position pos and order[i] at the other, v bound before order[i];
-    branches holds the disjuncts of a top-level Or, () for any other
-    formula."""
+    untied is due without those atoms (witnessed); branches holds the
+    disjuncts of a top-level Or, () for any other formula."""
 
     due: tuple[tuple[Formula, ...], ...]
     outside: frozenset[str]
     ties: tuple[tuple[tuple[str, int, str], ...], ...]
+    untied: tuple[tuple[Formula, ...], ...]
     branches: tuple[Formula, ...]
 
 
@@ -168,19 +177,26 @@ def _plan(formula: Formula, order: tuple[str, ...]) -> _Plan:
         return hit[1]
     depth = {v: i + 1 for i, v in enumerate(order)}
     due: list[list[Formula]] = [[] for _ in range(len(order) + 1)]
+    untied: list[list[Formula]] = [[] for _ in range(len(order) + 1)]
     ties: list[list[tuple[str, int, str]]] = [[] for _ in order]
     outside: set[str] = set()
     for part in conjuncts(formula):
         fv = free_vars(part)
         outside |= fv - depth.keys()
-        due[max((depth[v] for v in fv if v in depth), default=0)].append(part)
-        if isinstance(part, RelAtom) and len(part.args) == 2:
-            for pos, v in enumerate(part.args):
-                y = part.args[1 - pos]
-                if y in depth and depth.get(v, 0) < depth[y]:
-                    ties[depth[y] - 1].append((part.rel, pos, v))
+        d = max((depth[v] for v in fv if v in depth), default=0)
+        due[d].append(part)
+        # the atom's other variable is bound first, so this slot, d, is its last
+        tied = isinstance(part, RelAtom) and len(part.args) == 2 and [
+            (part.rel, pos, v) for pos, v in enumerate(part.args)
+            if depth.get(v, 0) < depth.get(part.args[1 - pos], 0)
+        ]
+        if tied:
+            ties[d - 1] += tied
+        else:
+            untied[d].append(part)
     branches = disjuncts(formula) if isinstance(formula, Or) else ()
-    plan = _Plan(tuple(map(tuple, due)), frozenset(outside), tuple(map(tuple, ties)), branches)
+    due, ties, untied = (tuple(map(tuple, x)) for x in (due, ties, untied))
+    plan = _Plan(due, frozenset(outside), ties, untied, branches)
     if len(_PLANS) >= _PLANS_MAX:
         _PLANS.clear()
     _PLANS[key] = (formula, plan)
@@ -214,8 +230,8 @@ def backtrack(
         yield env
 
 
-def _check_bound(plan: _Plan, env: dict[str, int]) -> None:
-    unbound = plan.outside - env.keys()
+def _check_bound(plan: _Plan, bound: Iterable[str]) -> None:
+    unbound = plan.outside.difference(bound)
     if unbound:
         raise EvalError(f"unbound variables {sorted(unbound)}")
 
@@ -306,6 +322,42 @@ def find_witness(
     """First tuple over V_cap (lexicographic) satisfying formula, or None:
     the first of solutions() of the capped set, without computing the rest."""
     return next(_hits(structure, formula, env, witness_vars, cap), None)
+
+
+def witnessed(
+    structure: FinStructure,
+    formula: Formula,
+    x_vars: tuple[str, ...],
+    y_vars: tuple[str, ...],
+    cap: Optional[LevelOrdinal],
+) -> Callable[[tuple[int, ...]], bool]:
+    """test(a_bar) is whether find_witness(structure, formula, env, y_vars,
+    cap) finds a witness, env binding x_vars to a_bar, while the structure
+    is unchanged (module docstring). EvalError if a variable is left free."""
+    plan = _plan(formula, y_vars)
+    _check_bound(plan, x_vars)
+    if plan.branches:
+        tests = [witnessed(structure, b, x_vars, y_vars, cap) for b in plan.branches]
+        return lambda a_bar: any(test(a_bar) for test in tests)
+    narrowed, checks = _indexed(structure, plan, cap), plan.untied
+    memo: list[dict[tuple[int, ...], Iterable[int]]] = [{} for _ in y_vars]
+    atom, domain = structure.has_fact, structure.v_ids
+
+    def candidates(i: int, env: dict[str, int]) -> Iterable[int]:
+        key = tuple([env[v] for _, _, v in plan.ties[i]])
+        hit = memo[i].get(key)
+        if hit is None:
+            hit = memo[i][key] = narrowed(i, env)
+        return hit
+
+    def test(a_bar: tuple[int, ...]) -> bool:
+        env = dict(zip(x_vars, a_bar))
+        if any(truth(part, env, atom, domain) is False for part in checks[0]):
+            return False
+        hits = _descend(0, env, y_vars, checks, candidates, atom, domain) if y_vars else [env]
+        return next(iter(hits), None) is not None
+
+    return test
 
 
 def _atoms(

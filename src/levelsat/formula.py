@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 
@@ -486,6 +487,10 @@ class ScheduleEntry:
 
     def key(self) -> tuple:
         # identity of the obligation, position excluded
+        return self._key
+
+    @cached_property
+    def _key(self) -> tuple:  # rendered once: a build asks every entry each stage
         return (render(self.formula), self.x_vars, self.y_vars, self.level)
 
 

@@ -19,7 +19,7 @@ from levelsat.construction import (
     strongly_satisfies,
     verify_axioms_on_levels,
 )
-from levelsat.evaluator import diag_key, evaluate
+from levelsat.evaluator import diag_key, evaluate, find_witness, witnessed
 from levelsat.formula import (
     ScheduleEntry,
     Signature,
@@ -31,6 +31,7 @@ from levelsat.formula import (
 from levelsat.structures import FinStructure
 from levelsat.theory import PLUGINS, RandomGraphTheory, get_plugin
 
+from build_reference import reference_chain
 from equivalence_reference import level_key, replay
 
 EQUIV = get_plugin("generic_equivalence")
@@ -425,6 +426,56 @@ def test_build_chain_deterministic():
     a = serialize_chain(build_chain(EQUIV, 8))
     b = serialize_chain(build_chain(EQUIV, 8))
     assert a == b
+
+
+# -- case 1: one witness test per entry turn ---------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(PLUGINS))
+def test_witness_test_matches_find_witness_on_every_entry(chains12, name):
+    """On every stage of a bundled 12-stage chain, each schedule entry's
+    witness test, made once, answers every parameter tuple over V_alpha as
+    a find_witness search per tuple does."""
+    chain = chains12[name]
+    for M in chain.stages:
+        for entry in chain.schedule[: chain.n_stages]:
+            f, xs, ys, succ = entry.formula, entry.x_vars, entry.y_vars, entry.level.successor()
+            test = witnessed(M, f, xs, ys, succ)
+            for a_bar in itertools.product(M.v_ids(entry.level), repeat=len(xs)):
+                want = find_witness(M, f, dict(zip(xs, a_bar)), ys, succ) is not None
+                assert test(a_bar) == want, (entry, a_bar)
+
+
+@pytest.mark.parametrize(
+    "name, n", [(name, 12) for name in sorted(PLUGINS)] + [("generic_equivalence", 30)]
+)
+def test_build_matches_the_per_tuple_reference(chains12, equiv30, name, n):
+    """A build that asks case 1 of one witness test per turn writes the
+    same chain, byte for byte, as one find_witness search per tuple."""
+    chain = chains12[name] if n == 12 else equiv30
+    assert serialize_chain(reference_chain(get_plugin(name), n)) == serialize_chain(chain)
+
+
+@pytest.mark.parametrize(
+    "plugin, texts",
+    [
+        (EQUIV, ("!E(x0, y0)", "E(x0, y0) & !(y0 = x0) & !(y0 = x1)")),
+        (RADO, ("!R(x0, y0) & !(y0 = x0)", "R(x0, y0) & !(y0 = x1)")),
+    ],
+    ids=["generic_equivalence", "random_graph"],
+)
+def test_a_case2_step_gives_later_tuples_of_its_turn_a_witness(plugin, texts):
+    """The first entry puts two unrelated elements, 0 and 1, in V_fin1. On
+    the second entry's turn, (0, 0) has no witness, and its case-2 step adds
+    one, which (0, 1) then finds as case 1. A witness test kept from before
+    that step would still offer 0 no candidate, and ask the oracle again."""
+    schedule = tuple(
+        replace(_entry(plugin, text, fin(i)), position=i) for i, text in enumerate(texts)
+    )
+    chain = build_chain(plugin, 2, schedule=schedule)
+    last = chain.audits[-1].entries[-1]
+    assert [r.a_tuple for r in last.records][:1] == [(0, 0)] and last.internal > 0
+    assert serialize_chain(chain) == serialize_chain(reference_chain(plugin, 2, schedule))
 
 
 # -- independent replay of the equivalence chain ------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from levelsat.evaluator import (
     DefinableSet,
     EvalError,
+    backtrack,
     count,
     diag_key,
     diagram,
@@ -18,6 +19,7 @@ from levelsat.evaluator import (
     qf_type_equal,
     solutions,
     truth,
+    witnessed,
 )
 from levelsat.formula import (
     And,
@@ -294,6 +296,29 @@ def test_solutions_match_the_product_scan(M, f, data):
 
 @settings(max_examples=300, deadline=None)
 @given(_structures(), _formulas(), st.data())
+def test_witness_test_matches_find_witness(M, f, data):
+    """One witness test, asked every parameter tuple in turn, answers each
+    as find_witness does."""
+    free = sorted(free_vars(f))
+    order = data.draw(st.permutations(free + ["y9"]))  # y9: a slot f never mentions
+    n_vars = data.draw(st.integers(0, len(order)))
+    ys, xs = tuple(order[:n_vars]), tuple(order[n_vars:])
+    cap = data.draw(st.sampled_from((None,) + LEVELS))
+    test = witnessed(M, f, xs, ys, cap)
+    for a_bar in itertools.product(M.universe, repeat=len(xs)):
+        want = find_witness(M, f, dict(zip(xs, a_bar)), ys, cap) is not None
+        assert test(a_bar) == want, a_bar
+
+
+def test_witness_test_rejects_a_free_variable():
+    M = _graph(((0, 1),), ((0, fin(0)), (1, fin(0))))
+    for text in ("E(x0, y0) & E(y0, x1)", "E(x0, y0) | E(y0, x1)"):
+        with pytest.raises(EvalError, match=r"unbound variables \['x1'\]"):
+            witnessed(M, parse(text, SIG), ("x0",), ("y0",), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_structures(), _formulas(), st.data())
 def test_partial_truth_is_kleene_sound(M, f, data):
     env = {v: data.draw(st.sampled_from(M.universe)) for v in sorted(free_vars(f))}
     pairs = list(itertools.product(M.universe, repeat=2))
@@ -396,6 +421,8 @@ def test_indexed_search_matches_the_product_scan(text, order):
                 tuple(("E", t) for t in sorted(M.facts("E")) if keep.issuperset(t)),
             )
         for cap in (None,) + ILEVELS:
+            # one witness test answers every parameter tuple of the cap
+            test = witnessed(M, f, tuple(params), order, cap)
             for vals in itertools.product(M.universe[:5], repeat=len(params)):
                 env = dict(zip(params, vals))
                 naive = [
@@ -407,6 +434,11 @@ def test_indexed_search_matches_the_product_scan(text, order):
                 assert solutions(M, dset) == naive
                 first = naive[0] if naive else None
                 assert find_witness(M, f, env, order, cap) == first
+                assert test(vals) == bool(naive)
+                # backtrack with candidates of its own, as the oracle runs it,
+                # still checks the atoms that tie a slot
+                plain = backtrack(f, env, order, lambda i, e: M.v_ids(cap), M.has_fact)
+                assert [tuple(h[v] for v in order) for h in plain] == naive
 
 
 def test_cap_cuts_the_neighbour_set():
