@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from bisect import bisect_right
 from collections import Counter
@@ -124,6 +125,14 @@ def _comparator(window, bound) -> tuple[int, float]:
     return window, float(bound)
 
 
+def _file_name(name, what: str) -> str:
+    """A set or experiment name, which output file names are made from:
+    text, with no path separator, and not empty, . or .."""
+    if not isinstance(name, str) or name in ("", ".", "..") or {os.sep, os.altsep, "\0"} & set(name):
+        raise ConfigError(f"{what} name {name!r} must be a plain file name")
+    return name
+
+
 def load_config(path: str) -> Config:
     try:
         doc = yaml.safe_load(Path(path).read_text())
@@ -161,6 +170,7 @@ def load_config(path: str) -> Config:
 
     sets: dict[str, SetSpec] = {}
     for sname, spec in _shaped(doc.get("sets"), dict, "sets").items():
+        _file_name(sname, "set")
         if not isinstance(spec, dict):
             raise ConfigError(f"set {sname!r} must be a mapping")
         f = parse_formula(spec.get("formula"))
@@ -170,6 +180,14 @@ def load_config(path: str) -> Config:
         split = spec.get("split")
         if split is None:
             split = [v for v in roles(f)[0] if v not in params_raw]
+        elif not (
+            isinstance(split, list)
+            and all(isinstance(v, str) and v not in params_raw for v in split)
+            and len(set(split)) == len(split)
+        ):
+            raise ConfigError(
+                f"set {sname!r}: split must be a list of distinct variables, none a parameter"
+            )
         free = free_vars(f)
         for v in list(split) + list(params_raw):
             if v not in free:
@@ -198,7 +216,9 @@ def load_config(path: str) -> Config:
     for i, spec in enumerate(_shaped(doc.get("dividing"), list, "dividing")):
         if not isinstance(spec, dict):
             raise ConfigError("each dividing experiment must be a mapping")
-        dname = spec.get("name", f"experiment{i}")
+        dname = _file_name(spec.get("name", f"experiment{i}"), "dividing experiment")
+        if any(d.name == dname for d in dividing):
+            raise ConfigError(f"two dividing experiments are named {dname!r}")
         psi = spec.get("psi")
         if psi not in sets:
             raise ConfigError(f"dividing {dname!r}: unknown psi set {psi!r}")

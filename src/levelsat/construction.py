@@ -29,7 +29,7 @@ elements is permanent and case-3 answers are final. New ids come last, so
 the V_alpha an entry's previous turn saw is a prefix of today's. A stage
 grows one thawed copy of the previous structure in place, so a case-2 step
 costs the same at any |M|. A chain file keeps of each audit only the case-2
-and case-3 records.
+and case-3 records, each an [a, witness] pair (witness null for case 3).
 """
 
 from __future__ import annotations
@@ -70,9 +70,12 @@ class ConstructionError(ValueError):
 @dataclass(frozen=True)
 class CaseRecord:
     a_tuple: tuple[int, ...]
-    case: int  # 2 oracle extension, 3 unrealizable
-    witness: Optional[tuple[int, ...]]
-    new_ids: tuple[int, ...] = ()
+    witness: Optional[tuple[int, ...]]  # None when unrealizable
+    new_ids: tuple[int, ...] = ()  # the witness ids the oracle made
+
+    @property
+    def case(self) -> int:  # 2 oracle extension, 3 unrealizable
+        return 3 if self.witness is None else 2
 
 
 @dataclass(frozen=True)
@@ -195,7 +198,7 @@ def build_stage(
                     f"oracle nondeterminism on {render(entry.formula)} at {a_bar}"
                 )
             if ext is None:
-                records.append(CaseRecord(a_bar, 3, None))
+                records.append(CaseRecord(a_bar, None))
                 continue
             M._extend(ext.delta)
             has_witness = witnessed(M, entry.formula, entry.x_vars, entry.y_vars, succ)
@@ -205,7 +208,7 @@ def build_stage(
                     f"oracle witness fails {render(entry.formula)} at {a_bar}"
                 )
             records.append(
-                CaseRecord(a_bar, 2, ext.witness, tuple(e for e, _ in ext.delta.new_elements))
+                CaseRecord(a_bar, ext.witness, tuple(e for e, _ in ext.delta.new_elements))
             )
         frontier[key] = v_now
         audits.append(EntryAudit(entry.position, alpha, v_now, skipped, internal, tuple(records)))
@@ -418,7 +421,7 @@ def embed_model(
 # serialization
 
 
-CHAIN_FORMAT = 3
+CHAIN_FORMAT = 4
 
 
 def chain_to_doc(chain: StageChain) -> dict:
@@ -439,15 +442,8 @@ def chain_to_doc(chain: StageChain) -> dict:
         "born": list(chain.born),
         "records": [
             [
-                [
-                    {
-                        "a": list(r.a_tuple),
-                        "case": r.case,
-                        "witness": list(r.witness) if r.witness is not None else None,
-                        "new_ids": list(r.new_ids),
-                    }
-                    for r in ea.records
-                ]
+                [[list(r.a_tuple), None if r.witness is None else list(r.witness)]
+                 for r in ea.records]
                 for ea in a.entries
             ]
             for a in chain.audits
@@ -461,20 +457,22 @@ def serialize_chain(chain: StageChain) -> str:
 
 def chain_from_doc(doc: dict) -> StageChain:
     """Inverse of chain_to_doc, whose records[i] holds stage i+1's case-2
-    and case-3 records, one list per entry in turn order; the schedule gives
-    each entry's position and level. Ids are handed out as max_id + 1, so
-    the structure an entry saw is final cut down to the ids up to a
-    watermark: the largest id that M0 or an earlier case-2 record created.
-    Its v_before is V_alpha of that cut, skipped follows by the skip rule,
-    and internal is what the skips and records leave of |v_before|^k.
+    and case-3 records as [a, witness] pairs, one list per entry in turn
+    order; the schedule gives each entry's position and level. Ids are
+    handed out as max_id + 1, and each fresh id is a witness component, so
+    a record's new ids are its witness ids past a watermark: the largest id
+    that M0 or an earlier record created. An entry saw final cut down to
+    the ids up to the watermark at its turn's start. Its v_before is V_alpha
+    of that cut, skipped follows by the skip rule, and internal is what the
+    skips and records leave of |v_before|^k.
 
     The cut is exact only if birth stamps never decrease in id order, so a
     file where they do is rejected. So is a record whose parameter tuple its
     entry did not process, that is not a k-tuple over v_before with a
     component past the previous turn's prefix, or that breaks the
-    lexicographic order of the entry's records; a case-2 record whose new
-    ids check_level_freeze rejects; and a plugin that names no bundled
-    theory, or a final structure over another signature than its own."""
+    lexicographic order of the entry's records; a record whose new ids skip
+    an id or that check_level_freeze rejects; and an unknown plugin, or a
+    final structure over another signature than the plugin's."""
     if not isinstance(doc, dict):
         raise ConstructionError("a chain must be a JSON object")
     fmt = doc.get("format")
@@ -515,31 +513,31 @@ def chain_from_doc(doc: dict) -> StageChain:
             if not isinstance(recs, list):
                 raise ConstructionError(f"stage {stage} has a record list that is not a list")
             entry = schedule[i]
-            k, vids = len(entry.x_vars), final.v_ids(entry.level)
-            v_before = vids[: bisect_right(vids, watermark)]
-            records = tuple(_record_from_doc(r, final) for r in recs)
-            seen = frontier.get(keys[i])
-            skipped = _skipped(seen, k)
-            floor = seen[-1] if seen else -1
-            for j, r in enumerate(records):
-                a = r.a_tuple
+            k, vids, top = len(entry.x_vars), final.v_ids(entry.level), watermark
+            v_before = vids[: bisect_right(vids, top)]
+            seen, records = frontier.get(keys[i]), []
+            skipped, floor = _skipped(seen, k), (seen[-1] if seen else -1)
+            for r in recs:
+                rec = _record_from_doc(r, final, watermark)
+                a = rec.a_tuple
                 if not (
                     len(a) == k
-                    and all(e <= watermark and final.level_of(e) <= entry.level for e in a)
+                    and all(e <= top and final.level_of(e) <= entry.level for e in a)
                     and (seen is None or max(a, default=-1) > floor)
-                    and (j == 0 or records[j - 1].a_tuple < a)
+                    and (not records or records[-1].a_tuple < a)
                 ):
                     raise ConstructionError(
                         f"stage {stage}, position {entry.position}: record {list(a)} "
                         "is not the next tuple the entry processed"
                     )
+                records.append(rec)
+                watermark += len(rec.new_ids)
             frontier[keys[i]] = v_before
             # distinct processed tuples: never more than the tuples left
             internal = len(v_before) ** k - skipped - len(records)
             entries.append(
-                EntryAudit(entry.position, entry.level, v_before, skipped, internal, records)
+                EntryAudit(entry.position, entry.level, v_before, skipped, internal, tuple(records))
             )
-            watermark = max((watermark, *(e for r in records for e in r.new_ids)))
         audits.append(StageAudit(stage, tuple(entries)))
     chain = StageChain(name, schedule, final, tuple(born), tuple(audits))
     moved = check_level_freeze(chain)
@@ -562,20 +560,19 @@ def _entry_from_doc(d: dict, sig: Signature) -> ScheduleEntry:
     return ScheduleEntry(parse(text, sig), tuple(xs), tuple(ys), parse_level(level), pos)
 
 
-def _record_from_doc(r: dict, final: FinStructure) -> CaseRecord:
-    """A case-2 or case-3 record whose ids all lie in final; a case-3 record
-    has no witness and no new ids."""
-    case = r["case"]
-    if type(case) is not int or case not in (2, 3):
-        raise ConstructionError(f"record cases must be 2 or 3, got {case!r}")
-    witness = tuple(r["witness"]) if r["witness"] is not None else None
-    rec = CaseRecord(tuple(r["a"]), case, witness, tuple(r["new_ids"]))
-    if case == 3 and (witness is not None or rec.new_ids):
-        raise ConstructionError("a case-3 record has a witness or new ids")
-    for e in rec.a_tuple + (witness or ()) + rec.new_ids:
+def _record_from_doc(r: list, final: FinStructure, watermark: int) -> CaseRecord:
+    """An [a, witness] pair of lists of ids in final, witness null for case
+    3. Its new ids, the witness ids past the watermark, must follow it."""
+    a, witness = r if isinstance(r, list) and len(r) == 2 else (None, None)
+    if not (isinstance(a, list) and (witness is None or isinstance(witness, list))):
+        raise ConstructionError(f"a record must be an [a, witness] pair, got {r!r}")
+    for e in a + (witness or []):
         if type(e) is not int or e not in final:
             raise ConstructionError(f"record id {e!r} is not in the final structure")
-    return rec
+    new_ids = tuple(sorted({e for e in witness or () if e > watermark}))
+    if new_ids != tuple(range(watermark + 1, watermark + 1 + len(new_ids))):
+        raise ConstructionError(f"new ids {list(new_ids)} do not follow id {watermark}")
+    return CaseRecord(tuple(a), None if witness is None else tuple(witness), new_ids)
 
 
 def load_chain(text: str) -> StageChain:

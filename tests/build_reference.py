@@ -42,11 +42,11 @@ def reference_stage(plugin, prev, entries, stage, frontier):
                 allowed_old=M.v_ids(succ), min_new=1,
             )
             if ext is None:
-                records.append(CaseRecord(a_bar, 3, None))
+                records.append(CaseRecord(a_bar, None))
                 continue
             M._extend(ext.delta)
             new_ids = tuple(e for e, _ in ext.delta.new_elements)
-            records.append(CaseRecord(a_bar, 2, ext.witness, new_ids))
+            records.append(CaseRecord(a_bar, ext.witness, new_ids))
         frontier[entry.key()] = v_now
         audits.append(
             EntryAudit(entry.position, entry.level, v_now, _skipped(seen, k), internal, tuple(records))

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 import yaml
 
+from levelsat.cli import load_config
+
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 
@@ -203,22 +205,28 @@ def _old_format(doc):
 
 
 S0 = ("schedule", 0)  # schedule entry 0: E(x0, x0) at fin0, stage 1's one entry
-R0 = ("records", 1, 1, 0)  # a case-2 record of stage 2
-R3 = ("records", 3, 1, 0)  # stage 4's case-2 record, new element 2 at fin2
+R0 = ("records", 1, 1, 0)  # stage 2's case-2 record [[0], [1]], new element 1
+R3 = ("records", 3, 1, 0)  # stage 4's case-2 record [[0], [2]], new element 2 at fin2
 # stage 12's first case-2 record of an omega+0 entry whose previous turn saw
 # the three ids 0, 4 and 5
 R11 = ("records", 11, 8, 0)
-CASE3 = {"a": [0], "case": 3, "witness": None, "new_ids": []}
+A, W = 0, 1  # a record is the pair [a, witness]
+CASE3 = [[0], None]
+MAX_ID = 91  # the largest id of the 30-stage equivalence chain
 
 
-def _set_at(path, **fields):
+def _set_at(path, key, value):
     def edit(doc):
         target = doc
         for step in path:
             target = target[step]
-        target.update(fields)
+        target[key] = value
         return doc
     return edit
+
+
+def _set_record(path, value):
+    return _set_at(path[:-1], path[-1], value)
 
 
 def _set_stage(i, value):
@@ -228,10 +236,18 @@ def _set_stage(i, value):
     return edit
 
 
-def _dangling_new_id(doc):
-    rec = next(r for stage in doc["records"] for recs in stage for r in recs if r["new_ids"])
-    rec["new_ids"][0] = max(e for e, _ in doc["final"]["elements"]) + 1
-    return doc
+def _format_3(doc):
+    """The chain as format 3 wrote it: each record an object that also holds
+    its case and the new ids, the witness ids past every id made before."""
+    made = 0  # M0 is element 0
+    for stage in doc["records"]:
+        for recs in stage:
+            for j, (a, witness) in enumerate(recs):
+                new = [e for e in witness or [] if e > made]
+                made = max([made, *new])
+                case = 3 if witness is None else 2
+                recs[j] = {"a": a, "case": case, "witness": witness, "new_ids": new}
+    return {**doc, "format": 3}
 
 
 def _swap_born(doc):
@@ -241,15 +257,17 @@ def _swap_born(doc):
 
 def _late_orphan(doc):
     """An element no record made, past the largest id, born at stage 1."""
-    doc["final"]["elements"].append([92, "omega+5"])
-    doc["final"]["facts"]["E"].append([92, 92])
+    doc["final"]["elements"].append([MAX_ID + 1, "omega+5"])
+    doc["final"]["facts"]["E"].append([MAX_ID + 1, MAX_ID + 1])
     doc["born"].append(1)
     return doc
 
 
 def _swap_records(doc):
+    """Swap the parameter tuples of R11 and the record after it, so that the
+    new ids still follow each other."""
     recs = doc["records"][11][8]
-    recs[0], recs[1] = recs[1], recs[0]
+    recs[0][A], recs[1][A] = recs[1][A], recs[0][A]
     return doc
 
 
@@ -285,32 +303,38 @@ def _set_born(i, value):
         lambda doc: {k: v for k, v in doc.items() if k != "format"},
         lambda doc: {**doc, "format": 1},
         lambda doc: {**doc, "format": 2},
+        _format_3,
         _set_stage(0, [[CASE3, CASE3]]),
-        _dangling_new_id,
-        _set_at(S0, position="0"),
-        _set_at(S0, position=True),
-        _set_at(S0, level=5),
-        _set_at(S0, formula=["E(x0, x0)"]),
-        _set_at(S0, x_vars="x0"),
-        _set_at(S0, y_vars=[0]),
+        _set_at(R3, W, [MAX_ID + 1]),
+        _set_at(S0, "position", "0"),
+        _set_at(S0, "position", True),
+        _set_at(S0, "level", 5),
+        _set_at(S0, "formula", ["E(x0, x0)"]),
+        _set_at(S0, "x_vars", "x0"),
+        _set_at(S0, "y_vars", [0]),
         lambda doc: {**doc, "schedule": doc["schedule"][:29]},
         lambda doc: {**doc, "records": {}},
         _set_stage(0, []),
         _set_stage(0, [[], []]),
         _set_stage(0, {"0": []}),
         _set_stage(0, ["records"]),
-        _set_at(R0, case=7),
-        _set_at(R0, a=[999]),
-        _set_at(R0, witness=[999]),
-        _set_at(R0, case=3),
-        _set_at(R0, case=3, witness=None),
+        _set_record(R0, [[0], 7]),
+        _set_record(R0, [[0]]),
+        _set_record(R0, [[0], None, [1]]),
+        _set_record(R0, {"a": [0], "case": 2, "witness": [1], "new_ids": [1]}),
+        _set_at(R0, A, None),
+        _set_at(R0, A, [999]),
+        _set_at(R0, W, [999]),
+        _set_at(R0, W, [2]),
+        _set_record(R0, CASE3),
         _swap_born,
         _late_orphan,
-        _set_at(R0, a=[91]),
-        _set_at(R0, a=[0, 0]),
-        _set_at(R11, a=[0]),
+        _set_at(R0, A, [MAX_ID]),
+        _set_at(R0, A, [0, 0]),
+        _set_at(R11, A, [0]),
         _swap_records,
-        _set_at(R3, new_ids=[0], witness=[0]),
+        _set_at(("final", "elements", 2), 1, "fin3"),
+        _set_born(2, 3),
         lambda doc: {**doc, "plugin": "zfc"},
         lambda doc: {**doc, "plugin": "random_graph"},
         _extra_relation,
@@ -319,14 +343,16 @@ def _set_born(i, value):
         "list", "string", "old-format", "old-format-no-stages", "born-short",
         "born-long", "born-not-list", "born-past-n", "born-negative",
         "born-text", "born-float", "born-bool", "born-null",
-        "format-absent", "format-1", "format-2", "internal-negative",
+        "format-absent", "format-1", "format-2", "format-3", "internal-negative",
         "new-id-dangling", "position-text", "position-bool", "level-number",
         "formula-list", "x-vars-text", "y-vars-numbers", "schedule-short",
         "records-not-list", "stage-missing-list", "stage-extra-list",
-        "stage-not-list", "entry-not-list", "case-7", "a-dangling",
-        "witness-dangling", "case3-witness", "case3-new-ids", "born-decreasing",
-        "born-decreasing-orphan",        "a-outside-v-before", "a-wrong-length", "a-in-covered-prefix",
-        "records-out-of-order", "new-ids-frozen-level", "plugin-unknown",
+        "stage-not-list", "entry-not-list", "witness-number", "record-one-item",
+        "record-three-items", "record-object", "a-null", "a-dangling",
+        "witness-dangling", "new-ids-skip", "case3-orphans-its-element",
+        "born-decreasing", "born-decreasing-orphan", "a-outside-v-before",
+        "a-wrong-length", "a-in-covered-prefix", "records-out-of-order",
+        "new-ids-frozen-level", "new-ids-wrong-stage", "plugin-unknown",
         "plugin-other-signature", "signature-extra-relation",
     ],
 )
@@ -505,6 +531,85 @@ def test_comparator_overrides_are_checked(equiv_build, tmp_path, command, flag, 
     assert proc.returncode == 2
     assert "comparator" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def _set_split(split):
+    def edit(doc):
+        doc["sets"]["class_of_b"]["split"] = split
+    return edit
+
+
+def _rename_set(name):
+    def edit(doc):
+        doc["sets"][name] = doc["sets"].pop("class_of_b")
+        doc["comparisons"] = [[name, "ambient"]]
+    return edit
+
+
+def _name_experiments(*names):
+    def edit(doc):
+        doc["dividing"] = [{**doc["dividing"][0], "name": name} for name in names]
+    return edit
+
+
+SPLIT_ERROR = "split must be a list of distinct variables, none a parameter"
+NAME_ERROR = "must be a plain file name"
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("dim", _set_split(5), SPLIT_ERROR),
+        ("divide", _set_split(5), SPLIT_ERROR),
+        ("dim", _set_split("x0"), SPLIT_ERROR),
+        ("dim", _set_split(["x0", "x0"]), SPLIT_ERROR),
+        ("dim", _set_split(["x0", "y0"]), SPLIT_ERROR),
+        ("dim", _rename_set("../../outside"), NAME_ERROR),
+        ("dim", _rename_set(".."), NAME_ERROR),
+        ("dim", _rename_set(""), NAME_ERROR),
+        ("dim", _rename_set("a\0b"), NAME_ERROR),
+        ("dim", _rename_set(5), NAME_ERROR),
+        ("divide", _name_experiments("../escaped"), NAME_ERROR),
+        ("divide", _name_experiments("."), NAME_ERROR),
+        ("divide", _name_experiments(7), NAME_ERROR),
+        ("divide", _name_experiments("class_drop", "class_drop"), "two dividing experiments"),
+    ],
+    ids=[
+        "split-number-dim", "split-number-divide", "split-text", "split-repeated",
+        "split-parameter", "set-name-escapes", "set-name-dotdot", "set-name-empty",
+        "set-name-nul", "set-name-number", "experiment-name-escapes",
+        "experiment-name-dot", "experiment-name-number", "experiment-names-repeated",
+    ],
+)
+def test_bad_set_or_experiment_exits_before_any_output(
+    equiv_build, tmp_path, command, edit, message
+):
+    """Set and experiment names become output file names, so they must be
+    plain, unique ones; a set's split names distinct non-parameter
+    variables."""
+    out, _ = equiv_build
+    doc = yaml.safe_load((CONFIGS / "equivalence_drop.yaml").read_text())
+    edit(doc)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(doc, sort_keys=False))
+    proc = run_cli(
+        command,
+        "--config", cfg,
+        "--chain", out / "generic_equivalence.chain.json",
+        "--out-dir", tmp_path / "deep" / "a" / "b" / "o",
+    )
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
+
+
+def test_an_explicit_split_names_the_set_variables(tmp_path):
+    doc = yaml.safe_load((CONFIGS / "equivalence_drop.yaml").read_text())
+    doc["sets"]["class_of_b"]["split"] = ["x0"]
+    cfg = tmp_path / "split.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert load_config(cfg).sets == load_config(CONFIGS / "equivalence_drop.yaml").sets
 
 
 @pytest.mark.parametrize(

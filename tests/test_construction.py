@@ -7,10 +7,16 @@ from dataclasses import replace
 import pytest
 
 from levelsat.construction import (
+    CaseRecord,
+    EntryAudit,
     InternalFaultError,
+    StageAudit,
+    StageChain,
     build_chain,
     build_m0,
     build_stage,
+    chain_from_doc,
+    chain_to_doc,
     check_level_freeze,
     embed_model,
     load_chain,
@@ -28,7 +34,7 @@ from levelsat.formula import (
     parse,
     seeded_schedule,
 )
-from levelsat.structures import FinStructure
+from levelsat.structures import FinStructure, canonical_json
 from levelsat.theory import PLUGINS, RandomGraphTheory, get_plugin
 
 from build_reference import reference_chain
@@ -420,6 +426,47 @@ def test_stage_view_matches_stage_by_stage_build(chains12, name):
     assert grown.stages[12] == grown.final
     back = load_chain(serialize_chain(grown))
     assert back.born == grown.born and back.audits == grown.audits
+
+
+def test_new_ids_follow_each_record_not_each_entry():
+    """A crafted infinite_set chain: at stage 2 the fin1 entry's second
+    record reuses element 2, which its first record made. Its new id is 3
+    alone, because the watermark moves past each record's new ids."""
+    pair = "!(y0 = x0) & !(y1 = x0) & !(y0 = y1)"
+    doc = {
+        "format": 4,
+        "plugin": "infinite_set",
+        "schedule": [
+            {"position": 0, "formula": "!(y0 = x0)", "x_vars": ["x0"], "y_vars": ["y0"],
+             "level": "fin0"},
+            {"position": 1, "formula": pair, "x_vars": ["x0"], "y_vars": ["y0", "y1"],
+             "level": "fin1"},
+        ],
+        "final": {
+            "signature": [],
+            "elements": [[0, "fin0"], [1, "fin1"], [2, "fin2"], [3, "fin2"]],
+            "facts": {},
+        },
+        "born": [0, 1, 2, 2],
+        "records": [[[[[0], [1]]]], [[], [[[0], [1, 2]], [[1], [2, 3]]]]],
+    }
+    chain = chain_from_doc(doc)
+    stage1, stage2 = chain.audits
+    assert stage1.entries[0].records == (CaseRecord((0,), (1,), (1,)),)
+    assert stage2.entries[1].v_before == (0, 1)
+    assert stage2.entries[1].records == (
+        CaseRecord((0,), (1, 2), (2,)),
+        CaseRecord((1,), (2, 3), (3,)),
+    )
+    assert serialize_chain(chain) == canonical_json(doc)
+
+
+def test_an_empty_witness_is_case_2_and_written_as_a_list():
+    rec = CaseRecord((0,), ())
+    audit = StageAudit(1, (EntryAudit(0, fin(0), (0,), 0, 0, (rec,)),))
+    chain = StageChain("infinite_set", (), build_m0(ISET), (0,), (audit,))
+    assert rec.case == 2 and CaseRecord((0,), None).case == 3
+    assert chain_to_doc(chain)["records"][0][0] == [[[0], []]]  # stage 1, entry 0
 
 
 def test_build_chain_deterministic():
