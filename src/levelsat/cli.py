@@ -219,6 +219,9 @@ def load_config(path: str) -> Config:
         dname = _file_name(spec.get("name", f"experiment{i}"), "dividing experiment")
         if any(d.name == dname for d in dividing):
             raise ConfigError(f"two dividing experiments are named {dname!r}")
+        for stem in (f"{dname}.psi", f"{dname}.phi"):
+            if stem in sets:
+                raise ConfigError(f"set {stem!r} would share {stem}.csv with experiment {dname!r}")
         psi = spec.get("psi")
         if psi not in sets:
             raise ConfigError(f"dividing {dname!r}: unknown psi set {psi!r}")

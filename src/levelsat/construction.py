@@ -470,8 +470,9 @@ def chain_from_doc(doc: dict) -> StageChain:
     file where they do is rejected. So is a record whose parameter tuple its
     entry did not process, that is not a k-tuple over v_before with a
     component past the previous turn's prefix, or that breaks the
-    lexicographic order of the entry's records; a record whose new ids skip
-    an id or that check_level_freeze rejects; and an unknown plugin, or a
+    lexicographic order of the entry's records; a witness that is not one id
+    per y variable; a record whose new ids skip an id or that
+    check_level_freeze rejects; and an unknown plugin, or a
     final structure over another signature than the plugin's."""
     if not isinstance(doc, dict):
         raise ConstructionError("a chain must be a JSON object")
@@ -518,7 +519,7 @@ def chain_from_doc(doc: dict) -> StageChain:
             seen, records = frontier.get(keys[i]), []
             skipped, floor = _skipped(seen, k), (seen[-1] if seen else -1)
             for r in recs:
-                rec = _record_from_doc(r, final, watermark)
+                rec = _record_from_doc(r, final, watermark, len(entry.y_vars))
                 a = rec.a_tuple
                 if not (
                     len(a) == k
@@ -560,12 +561,15 @@ def _entry_from_doc(d: dict, sig: Signature) -> ScheduleEntry:
     return ScheduleEntry(parse(text, sig), tuple(xs), tuple(ys), parse_level(level), pos)
 
 
-def _record_from_doc(r: list, final: FinStructure, watermark: int) -> CaseRecord:
+def _record_from_doc(r: list, final: FinStructure, watermark: int, n_y: int) -> CaseRecord:
     """An [a, witness] pair of lists of ids in final, witness null for case
-    3. Its new ids, the witness ids past the watermark, must follow it."""
+    3 or one id for each of the entry's n_y witness variables. Its new ids,
+    the witness ids past the watermark, must follow it."""
     a, witness = r if isinstance(r, list) and len(r) == 2 else (None, None)
     if not (isinstance(a, list) and (witness is None or isinstance(witness, list))):
         raise ConstructionError(f"a record must be an [a, witness] pair, got {r!r}")
+    if witness is not None and len(witness) != n_y:
+        raise ConstructionError(f"witness {witness!r} needs {n_y} ids, one per y variable")
     for e in a + (witness or []):
         if type(e) is not int or e not in final:
             raise ConstructionError(f"record id {e!r} is not in the final structure")

@@ -6,7 +6,9 @@ type as b-bar over the fixed parameters, is k-inconsistent: no k of them are
 jointly realizable. Joint unrealizability is decided by the theory oracle,
 and since it depends only on the quantifier-free type of the parameters
 involved, a certificate obtained at one stage stays valid in every later or
-extended structure.
+extended structure. For the same reason certify_dividing asks the oracle
+once per atomic diagram of a k-subset's parameters; every later subset with
+that diagram reads the answer from a memo kept for the one call.
 
 certify_dividing is sound but not complete: a None return means this search
 did not find a certificate, not that none exists.
@@ -137,7 +139,12 @@ def certify_dividing(
     stage first; if that stalls, grow the structure one fresh copy of the
     type at a time (apart from the family found so far) until L instances
     are confirmed or a growth step fails. None means no certificate found.
-    k = 1 is the degenerate reading: every instance alone unrealizable."""
+    k = 1 is the degenerate reading: every instance alone unrealizable.
+
+    The oracle is asked once per diag_key of a_ids followed by the subset's
+    instances in order, since its answer depends on nothing else
+    (TheoryPlugin docstring); the memo is this call's own, as the answer
+    also depends on phi."""
     xs, ys, rest = roles(phi)
     if len(rest) != len(a_ids):
         raise ValueError(f"phi has {len(rest)} parameter slots, got {len(a_ids)} ids")
@@ -155,14 +162,18 @@ def certify_dividing(
 
     family: list[tuple[int, ...]] = []
     confirmations: list[tuple[int, ...]] = []
+    realizable: dict[tuple, bool] = {}
 
     def admit(c: tuple[int, ...], M_now: FinStructure) -> bool:
         """True iff every k-subset formed with c is jointly unrealizable;
         records the confirmed subsets. Rejection leaves no record."""
         fresh: list[tuple[int, ...]] = []
         for S in itertools.combinations(range(len(family)), k - 1):
-            cons = [constraint(family[i]) for i in S] + [constraint(c)]
-            if plugin.jointly_realizable(M_now, xs, cons):
+            key = diag_key(M_now, a_ids + tuple(e for i in S for e in family[i]) + c)
+            if key not in realizable:
+                cons = [constraint(family[i]) for i in S] + [constraint(c)]
+                realizable[key] = plugin.jointly_realizable(M_now, xs, cons)
+            if realizable[key]:
                 return False
             fresh.append(S + (len(family),))
         confirmations.extend(fresh)

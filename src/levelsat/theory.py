@@ -119,6 +119,16 @@ class TheoryPlugin(abc.ABC):
     close a triangle; an equivalence class no parameter lies in acts like a
     new class; the bare set has no relations. extends_with_witness and
     jointly_realizable rely on it.
+
+    So a joint answer depends only on the atomic diagram (evaluator.diag_key)
+    of the constraints' parameter ids, listed in one fixed order. By the
+    contract the search tries only those ids and fresh markers; _slot_atom
+    reads facts among those ids; and _complete sees any other old element
+    only through an atom that a non-parameter cannot carry (a fresh graph
+    point gets edges only to the parameters, and equivalence class labels
+    are compared only by equality). Hence two parameter tuples with one
+    diagram pose the same search up to renaming the ids, in any structure
+    of the theory. certify_dividing relies on it to ask once per diagram.
     """
 
     name: str = ""

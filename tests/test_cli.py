@@ -326,6 +326,8 @@ def _set_born(i, value):
         _set_at(R0, A, [999]),
         _set_at(R0, W, [999]),
         _set_at(R0, W, [2]),
+        _set_at(R0, W, [1, 0]),
+        _set_at(R0, W, []),
         _set_record(R0, CASE3),
         _swap_born,
         _late_orphan,
@@ -349,7 +351,8 @@ def _set_born(i, value):
         "records-not-list", "stage-missing-list", "stage-extra-list",
         "stage-not-list", "entry-not-list", "witness-number", "record-one-item",
         "record-three-items", "record-object", "a-null", "a-dangling",
-        "witness-dangling", "new-ids-skip", "case3-orphans-its-element",
+        "witness-dangling", "new-ids-skip", "witness-too-long", "witness-too-short",
+        "case3-orphans-its-element",
         "born-decreasing", "born-decreasing-orphan", "a-outside-v-before",
         "a-wrong-length", "a-in-covered-prefix", "records-out-of-order",
         "new-ids-frozen-level", "new-ids-wrong-stage", "plugin-unknown",
@@ -554,6 +557,7 @@ def _name_experiments(*names):
 
 SPLIT_ERROR = "split must be a list of distinct variables, none a parameter"
 NAME_ERROR = "must be a plain file name"
+CSV_ERROR = "would share class_drop."
 
 
 @pytest.mark.parametrize(
@@ -573,20 +577,23 @@ NAME_ERROR = "must be a plain file name"
         ("divide", _name_experiments("."), NAME_ERROR),
         ("divide", _name_experiments(7), NAME_ERROR),
         ("divide", _name_experiments("class_drop", "class_drop"), "two dividing experiments"),
+        ("dim", _rename_set("class_drop.psi"), CSV_ERROR),
+        ("divide", _rename_set("class_drop.phi"), CSV_ERROR),
     ],
     ids=[
         "split-number-dim", "split-number-divide", "split-text", "split-repeated",
         "split-parameter", "set-name-escapes", "set-name-dotdot", "set-name-empty",
         "set-name-nul", "set-name-number", "experiment-name-escapes",
         "experiment-name-dot", "experiment-name-number", "experiment-names-repeated",
+        "set-name-psi-csv", "set-name-phi-csv",
     ],
 )
 def test_bad_set_or_experiment_exits_before_any_output(
     equiv_build, tmp_path, command, edit, message
 ):
     """Set and experiment names become output file names, so they must be
-    plain, unique ones; a set's split names distinct non-parameter
-    variables."""
+    plain, unique ones, and no set's CSV may be an experiment's; a set's
+    split names distinct non-parameter variables."""
     out, _ = equiv_build
     doc = yaml.safe_load((CONFIGS / "equivalence_drop.yaml").read_text())
     edit(doc)

@@ -15,9 +15,11 @@ from levelsat.dividing import (
     find_dimension_drop,
 )
 from levelsat.evaluator import DefinableSet, diag_key, qf_type_equal
-from levelsat.formula import fin, omega_plus, parse
+from levelsat.formula import fin, omega_plus, parse, roles
 from levelsat.structures import ExtensionDelta, FinStructure, apply_delta
 from levelsat.theory import PLUGINS, get_plugin
+
+from dividing_reference import reference_certify
 
 EQUIV = get_plugin("generic_equivalence")
 RADO = get_plugin("random_graph")
@@ -152,6 +154,99 @@ def test_certify_input_validation(equiv30):
         certify_dividing(EQUIV, equiv30, E_PHI, (), (3,), k=3, L=2)
     with pytest.raises(ValueError):
         certify_dividing(EQUIV, equiv30, parse("E(y0, y1)", EQUIV.signature), (), (3, 3), k=2, L=3)
+
+
+# -- one oracle call per atomic diagram ---------------------------------------------
+
+# per plugin: phis run in this order on one chain in one process, so a memo
+# that outlived its call would hand one phi's answers to the next; z0 is a
+# fixed parameter, bound to a non-empty a
+DIFF_PHIS = {
+    "infinite_set": ("x0 = y0", "!(x0 = y0)", "x0 = y0 & !(x0 = z0)", "!(x0 = y0) & !(y1 = y0)"),
+    "random_graph": ("R(x0, y0)", "!R(x0, y0)", "R(x0, y0) & R(x0, z0)", "R(x0, y0) & !R(x0, y1)"),
+    "henson_triangle_free": (
+        "R(x0, y0)", "!R(x0, y0)", "R(x0, y0) & R(x0, z0)", "R(x0, y0) & R(x0, y1)",
+    ),
+    "generic_equivalence": (
+        "E(x0, y0)", "!E(x0, y0)", "E(x0, y0) & !E(x0, z0)", "E(x0, y0) & !(x0 = y1)",
+    ),
+}
+
+
+def _certificate(w):
+    if w is None:
+        return None
+    fields = (w.formula_text, w.k, w.a_ids, w.instances, w.type_confirmations)
+    return fields + (w.confirmations, w.grown, w.structure.to_doc())
+
+
+def _assert_matches_reference(plugin, chain, texts, cases):
+    """certify_dividing equals the per-subset reference on every phi, anchor
+    and k; returns the outcomes seen (None, or the growth count)."""
+    M = chain.final
+    fin1 = min(e for e in M.universe if M.level_of(e) == fin(1))
+    anchors = sorted({M.universe[0], fin1, M.universe[len(M.universe) // 2]})
+    seen = set()
+    for text in texts:
+        phi = parse(text, plugin.signature)
+        _, ys, rest = roles(phi)
+        a = (M.universe[-1],) * len(rest)
+        for b0, (k, L) in itertools.product(anchors, cases):
+            b = (b0, M.universe[1])[: len(ys)]
+            got = certify_dividing(plugin, chain, phi, a, b, k=k, L=L)
+            want = reference_certify(plugin, chain, phi, a, b, k, L)
+            assert _certificate(got) == _certificate(want), (text, a, b, k, L)
+            seen.add(None if got is None else got.grown)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(PLUGINS))
+def test_certify_matches_the_per_subset_reference(chains12, name):
+    """Asking the oracle once per atomic diagram changes no certificate:
+    family, confirmations, growth and grown structure equal the reference's,
+    which asks once per k-subset."""
+    cases = [(k, k + 2) for k in (1, 2, 3, 4)]
+    seen = _assert_matches_reference(get_plugin(name), chains12[name], DIFF_PHIS[name], cases)
+    assert None in seen and 0 in seen
+
+
+def test_certify_matches_the_reference_while_growing(chains12):
+    """Families that outgrow the 12-stage pool: the memo carries answers
+    from the final stage across the growth steps."""
+    name = "generic_equivalence"
+    seen = _assert_matches_reference(EQUIV, chains12[name], DIFF_PHIS[name], [(2, 20)])
+    assert max(s for s in seen if s is not None) > 0
+
+
+@pytest.mark.parametrize("name", ["generic_equivalence", "random_graph"])
+def test_certify_matches_the_reference_at_30_stages(equiv30, rado30, name):
+    chain = {"generic_equivalence": equiv30, "random_graph": rado30}[name]
+    # one instance slot: a two-slot pool of the 30-stage graph is sampled
+    # down from about 300,000 pairs, 1.4 s per call
+    texts = [t for t in DIFF_PHIS[name] if "y1" not in t]
+    cases = [(k, k + 2) for k in (1, 2, 3, 4)]
+    assert _assert_matches_reference(get_plugin(name), chain, texts, cases)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_one_oracle_call_per_atomic_diagram(rado30, monkeypatch, k):
+    """The benchmark's random_graph experiments: the per-subset search asks
+    the oracle hundreds of times about a handful of diagrams."""
+    calls = []
+    joint = RADO.jointly_realizable
+
+    def counted(*args):
+        calls.append(args)
+        return joint(*args)
+
+    monkeypatch.setattr(RADO, "jointly_realizable", counted)
+    phi = parse("R(x0, y0)", RADO.signature)
+    M = rado30.final
+    b = min(e for e in M.universe if M.level_of(e) == fin(1))
+    assert certify_dividing(RADO, rado30, phi, (), (b,), k=k, L=8) is None
+    assert 1 <= len(calls) <= 4
+    keys = {diag_key(M_now, tuple(p["y0"] for _, p in cons)) for M_now, _, cons in calls}
+    assert len(keys) == len(calls)
 
 
 # -- find_dimension_drop ----------------------------------------------------------

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from levelsat.evaluator import evaluate, find_witness
+from levelsat.evaluator import diag_key, evaluate, find_witness
 from levelsat.formula import (
     And,
     Eq,
@@ -332,6 +332,35 @@ def test_joint_realizability_agrees_with_brute_force(name):
                 )
     assert seen == {True, False}
     assert not mismatched, mismatched[:5]
+
+
+@pytest.mark.parametrize("name", sorted(PLUGINS))
+def test_joint_answer_depends_only_on_the_parameters_diagram(name):
+    """certify_dividing asks once per atomic diagram. Families of 2 or 3
+    instances of a one-witness pool formula, over every parameter tuple of
+    several random structures: tuples with one diag_key, in one structure or
+    in two, get one answer, and the first and last tuple of each diagram get
+    brute force's."""
+    plugin = get_plugin(name)
+    structures = _random_structures(plugin, sizes=(4, 5), per_size=2, seed=5)
+    answers = set()
+    for f, xs, ys in _formula_pool(plugin):
+        n = len(xs)
+        if len(ys) != 1 or not n:
+            continue
+        for k in (2, 3) if n == 1 else (2,):
+            by_key: dict = {}
+            for M in structures:
+                for t in itertools.product(M.universe, repeat=k * n):
+                    cons = [(f, dict(zip(xs, t[i * n : (i + 1) * n]))) for i in range(k)]
+                    got = plugin.jointly_realizable(M, ys, cons)
+                    by_key.setdefault(diag_key(M, t), []).append((M, cons, got))
+            for rows in by_key.values():
+                assert len({got for _, _, got in rows}) == 1, render(f)
+                for M, cons, got in (rows[0], rows[-1]):
+                    assert brute_force_jointly(plugin, M, ys, cons, max_new=1) == got
+                    answers.add(got)
+    assert answers == {True, False}
 
 
 def test_asymmetric_and_loopy_fact_sets_fail_validation():
