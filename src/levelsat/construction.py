@@ -97,12 +97,13 @@ class StageAudit:
 @dataclass(frozen=True)
 class StageChain:
     """The final structure plus born[j], the stage at which final.universe[j]
-    entered; audits[i] describes the work of stage i+1. M_i is stages[i],
-    replayed from the birth stamps: M_0 holds the elements born at stage 0
-    and the facts among them, and M_{i+1} is M_i grown by the elements born
-    at stage i+1 and the facts whose latest-born element was born then. The
-    replay is exact because no delta adds a fact among old elements only and
-    levels are frozen. stages[n] is final itself."""
+    entered; audits[i] describes the work of stage i+1. Stage s is final cut
+    to the ids born by s, so stage_of(ids) is the first stage holding ids.
+    stages[i] replays M_i from the stamps: M_0 holds the elements born at
+    stage 0 and the facts among them, and M_{i+1} adds the elements born at
+    stage i+1 and the facts whose stage_of is i+1. The replay is exact
+    because no delta adds a fact among old elements only and levels are
+    frozen. stages[n] is final itself."""
 
     plugin_name: str
     schedule: tuple[ScheduleEntry, ...]
@@ -118,6 +119,10 @@ class StageChain:
     def born_at(self) -> dict[int, int]:
         return dict(zip(self.final.universe, self.born))
 
+    def stage_of(self, ids: Iterable[int]) -> int:
+        """The latest birth stamp among ids, 0 for none."""
+        return max((self.born_at[e] for e in ids), default=0)
+
     @cached_property
     def stages(self) -> tuple[FinStructure, ...]:
         M, born_at, n = self.final, self.born_at, self.n_stages
@@ -127,7 +132,7 @@ class StageChain:
             elements[born_at[e]].append((e, M.level_of(e)))
         for rel in M.signature.names():
             for t in M.facts(rel):
-                facts[max(born_at[e] for e in t)].append((rel, t))
+                facts[self.stage_of(t)].append((rel, t))
         stages, M_i = [], FinStructure(M.signature, (), ())
         for i in range(n):
             M_i = apply_delta(M_i, ExtensionDelta(tuple(elements[i]), tuple(facts[i])))

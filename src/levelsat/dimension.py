@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .evaluator import DefinableSet, evaluate, solutions
-from .formula import And, Formula, render, rename_vars
+from .formula import And, Formula, is_quantifier_free, render, rename_vars
 from .structures import FinStructure
 
 BOUNDED = "Bounded"
@@ -30,11 +30,10 @@ _EPS = 1e-9
 @dataclass(frozen=True)
 class DimTrend:
     """Counts of one definable set along a chain. counts[i] is the count at
-    stage start_stage + i; the final entry is the chain's last stage. The
-    set itself rides along as the descriptor; zero counts have no log value
-    (the None stands in for minus infinity, never a float sentinel)."""
+    stage start_stage + i; the final entry is the chain's last stage. Zero
+    counts have no log value (the None stands in for minus infinity, never a
+    float sentinel)."""
 
-    dset: DefinableSet
     label: str
     start_stage: int
     counts: tuple[int, ...]
@@ -53,21 +52,38 @@ class DimTrend:
         return math.log(c) if c else None
 
 
+def stage_solutions(chain, dset: DefinableSet, start: int) -> Iterator[set]:
+    """dset's solutions at each stage from start, which must hold every
+    parameter, to the last. Stage s is final cut to the ids born by s, so a
+    quantifier-free set is searched once in chain.final and each solution
+    counts from chain.stage_of(its ids and the parameters) on. A set with a
+    quantifier is searched in each of chain.stages, since its quantifiers
+    range over the ids a stage holds. The set yielded may grow in place."""
+    if not is_quantifier_free(dset.formula):
+        yield from (set(solutions(M, dset)) for M in chain.stages[start:])
+        return
+    params = tuple(e for _, e in dset.params)
+    born: list[list] = [[] for _ in range(chain.n_stages + 1)]
+    for sol in solutions(chain.final, dset):
+        born[chain.stage_of(sol + params)].append(sol)
+    sols: set = set()
+    for stage, new in enumerate(born):
+        sols.update(new)
+        if stage >= start:
+            yield sols
+
+
 def trend(chain, dset: DefinableSet, label: Optional[str] = None) -> DimTrend:
-    """Per-stage counts, starting at the first stage where every parameter
-    id exists: the latest birth stage among them. Stages only grow and never
-    add a fact among old elements, so counts never decrease along a chain
-    for a quantifier-free set or one whose formula is an exists over a
-    quantifier-free body. A negated exists can lose solutions as witnesses
-    arrive."""
+    """Counts from chain.stage_of(the parameters), the first stage holding
+    them all, read through stage_solutions. Counts never decrease for a
+    quantifier-free set or an exists over a quantifier-free body; a negated
+    exists can lose solutions as witnesses arrive."""
     needed = [eid for _, eid in dset.params]
     if not all(e in chain.born_at for e in needed):
         raise ValueError("trend parameters never appear in the chain")
-    start = max((chain.born_at[e] for e in needed), default=0)
-    counts = tuple(len(solutions(M, dset)) for M in chain.stages[start:])
-    if label is None:
-        label = render(dset.formula)
-    return DimTrend(dset, label, start, counts)
+    start = chain.stage_of(needed)
+    counts = tuple(map(len, stage_solutions(chain, dset, start)))
+    return DimTrend(render(dset.formula) if label is None else label, start, counts)
 
 
 @dataclass(frozen=True)
@@ -255,7 +271,9 @@ def quasi_axiom_report(
     sets' parameters exist. All sets must share solution variables and cap,
     since unions are taken across them. fibered = (f, Z) additionally checks
     |sets[0]| <= max_z |fiber over z| * |Z| per stage, where the fiber over a
-    Z-solution z is the part of sets[0] related to z by f."""
+    Z-solution z is the part of sets[0] related to z by f. Each stage is
+    searched in chain.stages, so the zero-marker check holds every trend,
+    stamped or not, against an independent recount."""
     if not sets:
         raise ValueError("need at least one set")
     for d in sets[1:]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .construction import InternalFaultError, StageChain
-from .dimension import DIVERGES_NEG, DimCompareResult, DimTrend, dim_compare, trend
+from .dimension import DIVERGES_NEG, DimCompareResult, DimTrend, dim_compare, stage_solutions, trend
 from .evaluator import DefinableSet, diag_key, diagram, qf_type_equal, solutions
 from .formula import (
     Eq,
@@ -237,10 +237,6 @@ class DropEntry:
 class DropReport:
     psi_trend: DimTrend
     base_trend: DimTrend
-    phi_text: str
-    base_instance: tuple[int, ...]
-    window: int
-    bound: float
     candidates_total: int
     skipped_late: tuple[tuple[int, ...], ...]
     entries: tuple[DropEntry, ...]
@@ -272,8 +268,9 @@ def find_dimension_drop(
     """Compare the growth of phi(x; c) against the ambient set psi for every
     tuple c with the type of b_ids over a_ids in the final stage. Candidates
     whose parameters appear too late to cover the comparison window are
-    skipped and listed. Raises ValueError if the base instance ever leaves
-    psi, since the gap is only a dimension drop for subsets."""
+    skipped and listed. Raises ValueError if the base instance leaves psi at
+    a stage that holds both sets' parameters (from the later of the two
+    trends' starts), since the gap is only a dimension drop for subsets."""
     xs, ys, rest = roles(phi)
     if len(rest) != len(a_ids) or len(ys) != len(b_ids):
         raise ValueError("parameter ids do not fit phi's slots")
@@ -286,12 +283,11 @@ def find_dimension_drop(
 
     t2 = trend(chain, psi)
     tb = trend(chain, dset(b_ids))
-    for stage in range(tb.start_stage, tb.end_stage + 1):
-        M = chain.stages[stage]
-        inside = set(solutions(M, psi))
-        for sol in solutions(M, dset(b_ids)):
-            if sol not in inside:
-                raise ValueError(f"base instance leaves the ambient set at stage {stage}")
+    start = max(tb.start_stage, t2.start_stage)
+    pairs = zip(stage_solutions(chain, dset(b_ids), start), stage_solutions(chain, psi, start))
+    for stage, (sols, inside) in enumerate(pairs, start):
+        if not sols <= inside:
+            raise ValueError(f"base instance leaves the ambient set at stage {stage}")
 
     final = chain.final
     window_start = t2.end_stage - window + 1
@@ -299,22 +295,11 @@ def find_dimension_drop(
     skipped: list[tuple[int, ...]] = []
     pool = _matching_tuples(final, a_ids, b_ids, seed)
     for c in pool:
-        # trend's own start: the latest birth stage among the parameters
-        if max((chain.born_at[e] for e in a_ids + c), default=0) > window_start:
+        if chain.stage_of(a_ids + c) > window_start:  # trend's own start
             skipped.append(c)
             continue
         entries.append(DropEntry(c, dim_compare(trend(chain, dset(c)), t2, window, bound)))
-    return DropReport(
-        t2,
-        tb,
-        render(phi),
-        b_ids,
-        window,
-        bound,
-        len(pool),
-        tuple(skipped),
-        tuple(entries),
-    )
+    return DropReport(t2, tb, len(pool), tuple(skipped), tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 import yaml
 
-from levelsat.cli import load_config
+from levelsat.cli import build_set, load_config
+from levelsat.construction import load_chain
+from levelsat.dimension import read_trend_csv
+from levelsat.evaluator import solutions
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -117,6 +120,25 @@ def test_divide_command_certifies_and_surveys(equiv_build, tmp_path):
     assert exp["best"]["instance"] == [4]
     assert (tmp_path / "class_drop.psi.csv").is_file()
     assert (tmp_path / "class_drop.phi.csv").is_file()
+
+
+def test_quantified_sets_and_a_late_psi(tmp_path):
+    """dim and divide on sets of both readings: the quantified sets' CSV
+    counts are those of a search of every stage, and the late psi's base
+    check starts where psi exists."""
+    cfg = ROOT / "tests" / "data" / "quantified_sets.yaml"
+    assert run_cli("build", "--config", cfg, "--out-dir", tmp_path).returncode == 0
+    chain_file = tmp_path / "generic_equivalence.chain.json"
+    for command in ("dim", "divide"):
+        proc = run_cli(command, "--config", cfg, "--chain", chain_file, "--out-dir", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    chain = load_chain(chain_file.read_text())
+    for name in ("lonely", "has_partner"):
+        dset = build_set(load_config(cfg).sets[name], chain.final)
+        rows = read_trend_csv((tmp_path / f"{name}.csv").read_text())
+        assert [(s, c) for s, c, _ in rows] == [
+            (s, len(solutions(M, dset))) for s, M in enumerate(chain.stages)
+        ]
 
 
 def test_divide_control_refuses_certificate(iset_build, tmp_path):

@@ -22,22 +22,31 @@ from levelsat.dimension import (
     read_trend_csv,
     trend,
 )
+from levelsat.construction import build_chain
+from levelsat.dividing import find_dimension_drop
 from levelsat.evaluator import DefinableSet, count, solutions
-from levelsat.formula import Eq, fin, omega_plus, parse
-from levelsat.theory import get_plugin
+from levelsat.formula import And, Eq, Exists, Not, Or, RelAtom, fin, free_vars, omega_plus, parse
+from levelsat.theory import PLUGINS, get_plugin
+
+from test_formula import _formulas
 
 EQUIV = get_plugin("generic_equivalence")
 ESIG = EQUIV.signature
 OMEGA = omega_plus(0)
+LEVELS = (fin(0), fin(1), fin(2), OMEGA, omega_plus(1), omega_plus(2))
 
 AMBIENT = DefinableSet(parse("x0 = x0", ESIG), ("x0",), (), OMEGA)
 CLASS_B = DefinableSet(parse("E(x0, y0)", ESIG), ("x0",), (("y0", 3),), OMEGA)
 AVOID_B = DefinableSet(parse("!E(x0, y0)", ESIG), ("x0",), (("y0", 3),), OMEGA)
 NOTHING = DefinableSet(parse("!(x0 = x0)", ESIG), ("x0",), (), OMEGA)
+LONELY = DefinableSet(
+    parse("!(exists y0 in omega. E(x0, y0) & !(y0 = x0))", ESIG), ("x0",), (), OMEGA
+)
+PAIRED = DefinableSet(parse("exists y0. E(x0, y0) & !(y0 = x0)", ESIG), ("x0",), (), OMEGA)
 
 
 def _flat(counts, start=0):
-    return DimTrend(AMBIENT, "synthetic", start, tuple(counts))
+    return DimTrend("synthetic", start, tuple(counts))
 
 
 # -- trend ---------------------------------------------------------------------
@@ -73,6 +82,75 @@ def test_capped_trends_never_decrease(equiv30):
     for dset in (AMBIENT, CLASS_B, AVOID_B):
         t = trend(equiv30, dset)
         assert all(a <= b for a, b in zip(t.counts, t.counts[1:]))
+
+
+def _recount(chain, dset):
+    """The per-stage reference: the first stage whose universe holds every
+    parameter, and a search of each stage from there."""
+    ids = [e for _, e in dset.params]
+    start = next(i for i, M in enumerate(chain.stages) if all(e in M for e in ids))
+    return start, tuple(len(solutions(M, dset)) for M in chain.stages[start:])
+
+
+def test_quantified_trends_are_counted_per_stage(equiv30):
+    """lonely loses solutions as partners arrive, so no birth stamp could
+    count it; both sets are searched at each stage."""
+    lonely = trend(equiv30, LONELY)
+    assert lonely.counts == (1,) * 4 + (0,) * 8 + (8,) * 16 + (0,) * 3
+    paired = trend(equiv30, PAIRED)
+    assert (paired.counts[0], paired.counts[-1]) == (0, 35)
+    for t, dset in ((lonely, LONELY), (paired, PAIRED)):
+        assert (t.start_stage, t.counts) == _recount(equiv30, dset)
+
+
+@pytest.fixture(scope="module", params=[*sorted(PLUGINS), "equiv30", "rado30"])
+def any_chain(request, chains12):
+    """Every bundled 12-stage chain, and the 30-stage equivalence and graph
+    chains."""
+    return chains12.get(request.param) or request.getfixturevalue(request.param)
+
+
+def _recast(f, rel, cap):
+    """f with each E atom over rel (an equality when rel is None) and each
+    exists capped at cap."""
+    if isinstance(f, RelAtom):
+        return Eq(*f.args) if rel is None else RelAtom(rel, f.args)
+    if isinstance(f, Not):
+        return Not(_recast(f.body, rel, cap))
+    if isinstance(f, (And, Or)):
+        return type(f)(_recast(f.left, rel, cap), _recast(f.right, rel, cap))
+    if isinstance(f, Exists):
+        return Exists(f.bound, _recast(f.body, rel, cap), cap)
+    return f
+
+
+@settings(max_examples=80, deadline=None)
+@given(_formulas(), st.data())
+def test_trend_matches_the_per_stage_recount(any_chain, f, data):
+    """Quantifier-free sets are read from the birth stamps and sets with
+    exists per stage; both must equal a search of every stage. Caps keep
+    the searches of the 30-stage chains to at most 45 elements."""
+    M = any_chain.final
+    caps = [c for c in (None, *LEVELS) if len(M.v_ids(c)) <= 45]
+    rels = M.signature.names()
+    f = _recast(f, rels[0] if rels else None, data.draw(st.sampled_from(caps)))
+    order = data.draw(st.permutations(sorted(free_vars(f)) + ["x9"]))
+    n_x = data.draw(st.integers(0, 2 if any_chain.n_stages <= 12 else 1))
+    xs, rest = tuple(order[:n_x]), order[n_x:]
+    params = tuple((v, data.draw(st.sampled_from(M.universe))) for v in rest)
+    dset = DefinableSet(f, xs, params, data.draw(st.sampled_from(caps)))
+    t = trend(any_chain, dset)
+    assert (t.start_stage, t.counts) == _recount(any_chain, dset)
+
+
+def test_stamped_reads_leave_the_replay_unbuilt():
+    chain = build_chain(EQUIV, 12)
+    trend(chain, AMBIENT)
+    trend(chain, CLASS_B)
+    find_dimension_drop(chain, AMBIENT, parse("E(x0, y0)", ESIG), (), (3,))
+    assert "stages" not in vars(chain)
+    trend(chain, LONELY)
+    assert "stages" in vars(chain)
 
 
 # -- dim_compare ----------------------------------------------------------------

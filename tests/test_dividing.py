@@ -281,6 +281,16 @@ def test_drop_requires_subset(equiv30):
         find_dimension_drop(equiv30, psi, phi, (), (4,))
 
 
+def test_base_check_starts_when_psi_exists(equiv30):
+    """psi's parameter 3 is born at stage 8, after the base instance's 2
+    (stage 4). The base is checked from stage 8, where both sets exist, and
+    lies inside psi there."""
+    psi = DefinableSet(parse("E(x0, z0)", EQUIV.signature), ("x0",), (("z0", 3),), OMEGA)
+    assert (equiv30.born_at[2], equiv30.born_at[3]) == (4, 8)
+    rep = find_dimension_drop(equiv30, psi, E_PHI, (), (2,))
+    assert (rep.base_trend.start_stage, rep.psi_trend.start_stage) == (4, 8)
+
+
 def test_drop_trivial_when_phi_is_everything(equiv30):
     phi = parse("x0 = x0 & y0 = y0", EQUIV.signature)
     rep = find_dimension_drop(equiv30, _ambient(EQUIV.signature), phi, (), (3,))
