@@ -20,8 +20,8 @@ R(y, v), ties the slot y to a variable v bound before it: the slot then
 ranges over the neighbours of v, intersected over every such atom, cut to
 V_cap and ascending. Every value this drops fails that conjunct, and the
 rest keep V_cap's order, so the hits and their order are those of the
-plain scan. Atoms under Not, R(y, y), and atoms whose other variable is
-assigned later narrow nothing.
+plain scan. In this search, atoms under Not, R(y, y), and atoms whose other
+variable is assigned later narrow nothing.
 
 A formula whose top level is an Or tree is searched branch by branch: each
 disjunct gets its own plan, ties and candidates, and the branches' hits,
@@ -38,7 +38,15 @@ structure is unchanged, a tied slot's candidates are kept per binding of its
 tie variables (the class of x0 is cut to V_cap once per x0, not per (x0,
 x1)), and the tying atoms, which every index candidate satisfies, are not
 checked again; backtrack keeps them, as the oracle brings its own candidates.
-A top-level Or has a witness when some branch has one: no merge.
+The test also narrows a slot y by each top-level negated atom !R(u, y),
+!R(y, u) or !(y = u) whose other variable u is bound before y: it skips the
+neighbours of u, or u itself, in the kept list by set lookups, and does not
+check those atoms at the leaf. So class_spread8's eight slots, which carry
+only such atoms, no longer reject V_cap one element at a time. The kept
+lists stay keyed by the tie variables alone. With one slot and no leaf
+check left, the first candidate that survives is the answer. _hits and
+backtrack still check negated atoms at the leaves. A top-level Or has a
+witness when some branch has one: no merge.
 
 A DefinableSet packages a formula with its solution variables, parameter
 bindings, and an optional level cap. Solutions are tuples over V_cap,
@@ -153,12 +161,16 @@ class _Plan:
     (due[0]: those env alone binds); outside holds the free variables env
     must bind; ties[i] lists (rel, pos, v) for each top-level atom with v at
     position pos and order[i] at the other, v bound before order[i];
-    untied is due without those atoms (witnessed); branches holds the
-    disjuncts of a top-level Or, () for any other formula."""
+    avoid[i] lists (rel, pos, u) alike for each top-level negated atom
+    !R(u, y) or !R(y, u), and (None, 0, u) for each !(y = u) or !(u = y),
+    y being order[i] and u bound before it; untied is due without the atoms
+    of ties and avoid (witnessed); branches holds the disjuncts of a
+    top-level Or, () for any other formula."""
 
     due: tuple[tuple[Formula, ...], ...]
     outside: frozenset[str]
     ties: tuple[tuple[tuple[str, int, str], ...], ...]
+    avoid: tuple[tuple[tuple[Optional[str], int, str], ...], ...]
     untied: tuple[tuple[Formula, ...], ...]
     branches: tuple[Formula, ...]
 
@@ -179,6 +191,7 @@ def _plan(formula: Formula, order: tuple[str, ...]) -> _Plan:
     due: list[list[Formula]] = [[] for _ in range(len(order) + 1)]
     untied: list[list[Formula]] = [[] for _ in range(len(order) + 1)]
     ties: list[list[tuple[str, int, str]]] = [[] for _ in order]
+    avoid: list[list[tuple[Optional[str], int, str]]] = [[] for _ in order]
     outside: set[str] = set()
     for part in conjuncts(formula):
         fv = free_vars(part)
@@ -186,21 +199,36 @@ def _plan(formula: Formula, order: tuple[str, ...]) -> _Plan:
         d = max((depth[v] for v in fv if v in depth), default=0)
         due[d].append(part)
         # the atom's other variable is bound first, so this slot, d, is its last
-        tied = isinstance(part, RelAtom) and len(part.args) == 2 and [
-            (part.rel, pos, v) for pos, v in enumerate(part.args)
-            if depth.get(v, 0) < depth.get(part.args[1 - pos], 0)
-        ]
-        if tied:
-            ties[d - 1] += tied
+        negated = isinstance(part, Not) and isinstance(part.body, (RelAtom, Eq))
+        if isinstance(part, RelAtom) and (links := _links(part, depth)):
+            ties[d - 1] += links
+        elif negated and (links := _links(part.body, depth)):
+            avoid[d - 1] += links
         else:
             untied[d].append(part)
     branches = disjuncts(formula) if isinstance(formula, Or) else ()
-    due, ties, untied = (tuple(map(tuple, x)) for x in (due, ties, untied))
-    plan = _Plan(due, frozenset(outside), ties, untied, branches)
+    due, ties, avoid, untied = (tuple(map(tuple, x)) for x in (due, ties, avoid, untied))
+    plan = _Plan(due, frozenset(outside), ties, avoid, untied, branches)
     if len(_PLANS) >= _PLANS_MAX:
         _PLANS.clear()
     _PLANS[key] = (formula, plan)
     return plan
+
+
+def _links(atom: RelAtom | Eq, depth: dict[str, int]) -> list[tuple[Optional[str], int, str]]:
+    """(rel, pos, v) for a binary atom with v at position pos, when v is
+    bound before the variable at the other position; rel is None for an
+    equality. [] for a relation atom of another arity."""
+    if isinstance(atom, Eq):
+        rel, args = None, (atom.left, atom.right)
+    else:
+        rel, args = atom.rel, atom.args
+    if len(args) != 2:
+        return []
+    return [
+        (rel, pos, v) for pos, v in enumerate(args)
+        if depth.get(v, 0) < depth.get(args[1 - pos], 0)
+    ]
 
 
 def backtrack(
@@ -333,7 +361,9 @@ def witnessed(
 ) -> Callable[[tuple[int, ...]], bool]:
     """test(a_bar) is whether find_witness(structure, formula, env, y_vars,
     cap) finds a witness, env binding x_vars to a_bar, while the structure
-    is unchanged (module docstring). EvalError if a variable is left free."""
+    is unchanged. A slot's candidates are its kept index list less the
+    elements its avoided atoms rule out (module docstring). EvalError if a
+    variable is left free."""
     plan = _plan(formula, y_vars)
     _check_bound(plan, x_vars)
     if plan.branches:
@@ -341,20 +371,29 @@ def witnessed(
         return lambda a_bar: any(test(a_bar) for test in tests)
     narrowed, checks = _indexed(structure, plan, cap), plan.untied
     memo: list[dict[tuple[int, ...], Iterable[int]]] = [{} for _ in y_vars]
-    atom, domain = structure.has_fact, structure.v_ids
+    atom, domain, nbrs = structure.has_fact, structure.v_ids, structure.neighbours
+    # one slot with nothing left to check at its leaf: any candidate is a witness
+    direct = len(y_vars) == 1 and not checks[1]
 
     def candidates(i: int, env: dict[str, int]) -> Iterable[int]:
         key = tuple([env[v] for _, _, v in plan.ties[i]])
         hit = memo[i].get(key)
         if hit is None:
             hit = memo[i][key] = narrowed(i, env)
+        # each skip is bound now: _descend reassigns env while hit is read
+        for rel, pos, u in plan.avoid[i]:
+            skip = env[u].__eq__ if rel is None else nbrs(rel, pos, env[u]).__contains__
+            hit = itertools.filterfalse(skip, hit)
         return hit
 
     def test(a_bar: tuple[int, ...]) -> bool:
         env = dict(zip(x_vars, a_bar))
         if any(truth(part, env, atom, domain) is False for part in checks[0]):
             return False
-        hits = _descend(0, env, y_vars, checks, candidates, atom, domain) if y_vars else [env]
+        if direct:
+            hits = candidates(0, env)
+        else:
+            hits = _descend(0, env, y_vars, checks, candidates, atom, domain) if y_vars else [env]
         return next(iter(hits), None) is not None
 
     return test

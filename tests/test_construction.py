@@ -493,13 +493,29 @@ def test_witness_test_matches_find_witness_on_every_entry(chains12, name):
                 assert test(a_bar) == want, (entry, a_bar)
 
 
+_LONG_BUILDS = {("generic_equivalence", 30): "equiv30", ("random_graph", 30): "rado30"}
+
+
 @pytest.mark.parametrize(
-    "name, n", [(name, 12) for name in sorted(PLUGINS)] + [("generic_equivalence", 30)]
+    "name, n",
+    [(name, 12) for name in sorted(PLUGINS)]
+    # generic_equivalence 30, then the benchmark's three workload builds
+    + [
+        ("generic_equivalence", 30),
+        ("generic_equivalence", 60),
+        ("random_graph", 30),
+        ("henson_triangle_free", 36),
+    ],
 )
-def test_build_matches_the_per_tuple_reference(chains12, equiv30, name, n):
+def test_build_matches_the_per_tuple_reference(request, chains12, name, n):
     """A build that asks case 1 of one witness test per turn writes the
     same chain, byte for byte, as one find_witness search per tuple."""
-    chain = chains12[name] if n == 12 else equiv30
+    if n == 12:
+        chain = chains12[name]
+    elif (name, n) in _LONG_BUILDS:
+        chain = request.getfixturevalue(_LONG_BUILDS[name, n])
+    else:
+        chain = build_chain(get_plugin(name), n)
     assert serialize_chain(reference_chain(get_plugin(name), n)) == serialize_chain(chain)
 
 

@@ -393,6 +393,17 @@ INDEXED = [
     ("E(y0, y1) | E(x0, y0)", ("y0", "y1")),
     ("E(y0, y1) | E(x0, y0)", ("y1", "y0")),
     ("(E(x0, x1) & E(x1, y0)) | E(y0, x0)", ("y0",)),
+    # negated atoms that the witness test filters out of a slot's candidates:
+    # from the left, from the right, beside a tie, from an earlier slot in
+    # either order, equalities, a self-loop left to the leaf check, and
+    # filters inside an Or branch
+    ("!E(y0, x0)", ("y0",)),
+    ("E(x0, y0) & !E(y0, x1)", ("y0",)),
+    ("!E(x0, y0) & !E(x0, y1) & !E(y0, y1)", ("y0", "y1")),
+    ("!E(x0, y0) & !E(x0, y1) & !E(y0, y1)", ("y1", "y0")),
+    ("E(x0, y0) & !(y0 = x0) & !(y0 = x1)", ("y0",)),
+    ("!E(y0, y0) & !(y0 = x0)", ("y0",)),
+    ("E(x0, y0) | (!E(y0, x1) & !(y0 = x0))", ("y0",)),
 ]
 
 ILEVELS = (fin(0), fin(1), omega_plus(0), omega_plus(1))
@@ -474,6 +485,29 @@ def test_common_neighbour_search_work_does_not_grow_with_the_universe():
         _CountingStructure.calls = 0
         assert find_witness(M, f, {"x0": 0, "x1": 1}, ("y0",), None) == (n - 1,)
         assert find_witness(M, f, {"x0": 0, "x1": 2}, ("y0",), None) is None
+        counts.append(_CountingStructure.calls)
+    assert counts[0] == counts[1]
+
+
+def test_avoiding_witness_test_work_does_not_grow_with_the_universe():
+    """0's out-neighbours are all ids but the last three, a, b and c, and 1's
+    all but b and c. The witness test drops those neighbour sets from each
+    slot's candidates by set lookups, so it evaluates no more atoms at n =
+    200 than at n = 20; a leaf check per rejected candidate grows with n."""
+    f = parse("!E(x0, y0) & !E(x0, y1) & !E(y0, y1)", SIG)
+    counts = []
+    for n in (20, 200):
+        a, b, c = n - 3, n - 2, n - 1
+        edges = [(0, e) for e in range(a)] + [(1, e) for e in range(b)]
+        edges += [(a, a), (b, b), (c, c), (a, b), (b, c), (c, a), (c, b)]
+        M = _CountingStructure(
+            SIG, tuple((e, fin(0)) for e in range(n)), tuple(("E", t) for t in edges)
+        )
+        assert find_witness(M, f, {"x0": 0}, ("y0", "y1"), None) == (a, c)
+        assert find_witness(M, f, {"x0": 1}, ("y0", "y1"), None) is None
+        _CountingStructure.calls = 0
+        test = witnessed(M, f, ("x0",), ("y0", "y1"), None)
+        assert test((0,)) and not test((1,))
         counts.append(_CountingStructure.calls)
     assert counts[0] == counts[1]
 
