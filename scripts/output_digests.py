@@ -2,7 +2,9 @@
 
     python3 scripts/output_digests.py [--workloads] [config.yaml ...] > digests.txt
 
-For each config (default: every configs/*.yaml) the script runs `build`,
+For each config (default: every configs/*.yaml, then every
+tests/data/*.yaml, which adds the per-stage search of sets with a
+quantifier and a `divide` whose psi is born late) the script runs `build`,
 `dim`, `divide` and `export` into a fresh output directory, each command in
 its own `python -m levelsat.cli` process with this checkout's src/ first on
 the path. --workloads adds the benchmark's three workloads at seeds 0, 3 and
@@ -93,7 +95,9 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--workloads", action="store_true",
                     help="also digest the benchmark workloads at seeds 0, 3 and 8")
     args = ap.parse_args(argv)
-    configs = [c.resolve() for c in args.configs] or sorted((ROOT / "configs").glob("*.yaml"))
+    configs = [c.resolve() for c in args.configs] or [
+        c for d in ("configs", "tests/data") for c in sorted((ROOT / d).glob("*.yaml"))
+    ]
     with tempfile.TemporaryDirectory() as tmp:
         runs: list[tuple[Path, Optional[int]]] = [(c, None) for c in configs]
         if args.workloads:

@@ -143,7 +143,7 @@ def load_config(path: str) -> Config:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
     name = doc.get("plugin")
-    if name not in PLUGINS:
+    if not isinstance(name, str) or name not in PLUGINS:
         raise ConfigError(
             f"unknown plugin {name!r}; available: {', '.join(sorted(PLUGINS))}"
         )
@@ -208,7 +208,7 @@ def load_config(path: str) -> Config:
         if not (isinstance(row, list) and len(row) == 2):
             raise ConfigError("each comparison must be a [left, right] pair")
         for side in row:
-            if side not in sets:
+            if not isinstance(side, str) or side not in sets:
                 raise ConfigError(f"comparison references unknown set {side!r}")
         comparisons.append((row[0], row[1]))
 
@@ -223,7 +223,7 @@ def load_config(path: str) -> Config:
             if stem in sets:
                 raise ConfigError(f"set {stem!r} would share {stem}.csv with experiment {dname!r}")
         psi = spec.get("psi")
-        if psi not in sets:
+        if not isinstance(psi, str) or psi not in sets:
             raise ConfigError(f"dividing {dname!r}: unknown psi set {psi!r}")
         k = spec.get("k", 2)
         L = spec.get("L", 3)
@@ -303,6 +303,8 @@ def _write(path: Path, text: str) -> None:
 
 def cmd_build(cfg: Config, out_dir: Path, stages: Optional[int]) -> int:
     n = cfg.stages if stages is None else stages
+    if n < 0:
+        raise ConfigError("stages must be a nonnegative integer")
     chain = build_chain(get_plugin(cfg.plugin), n, schedule=_schedule_for(cfg, n))
     final = chain.final
     print(
@@ -378,7 +380,7 @@ def cmd_dim(
             }
         )
     _write(out_dir / "dim_report.json", canonical_json(report) + "\n")
-    return _check_expect(expect, verdicts=verdicts)
+    return _check_expect(expect, verdicts=verdicts if cfg.comparisons else None)
 
 
 def cmd_divide(

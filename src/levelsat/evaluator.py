@@ -1,27 +1,37 @@
 """Evaluation of formulas on finite structures and definable-set counting.
 
-The package's one formula walker and one backtracking search live here.
+The package's one formula walker and one search descent live here.
 truth() evaluates a formula in Kleene's three-valued logic under an atom
 function that may leave atoms undecided; evaluate() is its two-valued use on
-a structure. backtrack() assigns variables left to right from candidates the
-caller supplies and prunes a branch as soon as a top-level conjunct is
-False; the theory oracle's pattern search (theory.TheoryPlugin._search)
-and the one search stream, _hits, run on it. Where each conjunct is checked
-is worked out once per formula and variable order and cached.
+a structure. _descend assigns variables left to right from the candidates it
+is given and checks each conjunct at the depth where its last free variable
+gets a value; that depth is worked out once per formula and variable order
+and cached (_plan). backtrack() runs it on every top-level conjunct with
+the caller's candidates, as the theory oracle's pattern search
+(theory.TheoryPlugin._search) brings its own.
 
-_hits yields the tuples over V_cap that satisfy a formula, lexicographic and
-each once; solutions() is the whole stream and find_witness() its first
-tuple. The dividing pool, the tuples of b-bar's quantifier-free type over
-a-bar, is solutions() of b-bar's diagram (dividing._type_formula).
+The one search stream, _stream, yields the tuples over V_cap that satisfy a
+formula, lexicographic and each once. solutions() is the whole stream and
+find_witness() its first tuple; witnessed() asks one stream for a first hit
+for each parameter tuple, so its kept candidate lists serve them all. The
+dividing pool, the tuples of b-bar's quantifier-free type over a-bar, is
+solutions() of b-bar's diagram (dividing._type_formula).
 
-_hits takes a slot's candidates from the structure's neighbour index when
-a positive binary atom that is itself a top-level conjunct, R(v, y) or
-R(y, v), ties the slot y to a variable v bound before it: the slot then
-ranges over the neighbours of v, intersected over every such atom, cut to
-V_cap and ascending. Every value this drops fails that conjunct, and the
-rest keep V_cap's order, so the hits and their order are those of the
-plain scan. In this search, atoms under Not, R(y, y), and atoms whose other
-variable is assigned later narrow nothing.
+The stream's candidates (_candidates) narrow a slot y by the structure's
+neighbour index in two ways, through top-level conjuncts whose other
+variable is bound before y. A tie, R(v, y) or R(y, v), makes y range over
+the neighbours of v, intersected over every tie, cut to V_cap and ascending.
+While the structure is unchanged that list is kept per binding of the tie
+variables: the class of x0 is cut to V_cap once per x0, not per (x0, x1). An
+avoided atom, !R(u, y), !R(y, u) or !(y = u), then skips the neighbours of
+u, or u itself, in the kept list by set lookups. Every value dropped fails
+its conjunct, and the rest keep V_cap's order, so the hits and their order
+are those of the plain scan. Neither kind of atom is checked again at the
+leaves (_Plan.untied); backtrack checks them all. So class_spread8's eight
+slots, which carry only avoided atoms, do not reject V_cap one element at a
+time, and with one slot and no leaf check left the candidates are the hits.
+Other atoms under Not, R(y, y), and atoms whose other variable is assigned
+later narrow nothing.
 
 A formula whose top level is an Or tree is searched branch by branch: each
 disjunct gets its own plan, ties and candidates, and the branches' hits,
@@ -31,22 +41,8 @@ and their order are again those of the plain scan, and find_witness stops
 at the first merged hit. Henson's spread_pair, R(x0, x1) | (R(y0, x0) &
 R(y0, x1)), so costs the first id of V_cap or the intersection of two
 neighbour sets. Atoms under an Or inside a conjunct still narrow nothing.
-
-witnessed() answers find_witness's yes-or-no question for every parameter
-tuple of one entry's turn, on the same plan, index and descent. While the
-structure is unchanged, a tied slot's candidates are kept per binding of its
-tie variables (the class of x0 is cut to V_cap once per x0, not per (x0,
-x1)), and the tying atoms, which every index candidate satisfies, are not
-checked again; backtrack keeps them, as the oracle brings its own candidates.
-The test also narrows a slot y by each top-level negated atom !R(u, y),
-!R(y, u) or !(y = u) whose other variable u is bound before y: it skips the
-neighbours of u, or u itself, in the kept list by set lookups, and does not
-check those atoms at the leaf. So class_spread8's eight slots, which carry
-only such atoms, no longer reject V_cap one element at a time. The kept
-lists stay keyed by the tie variables alone. With one slot and no leaf
-check left, the first candidate that survives is the answer. _hits and
-backtrack still check negated atoms at the leaves. A top-level Or has a
-witness when some branch has one: no merge.
+witnessed() needs no merge: a top-level Or has a witness when some branch
+has one.
 
 A DefinableSet packages a formula with its solution variables, parameter
 bindings, and an optional level cap. Solutions are tuples over V_cap,
@@ -63,6 +59,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -156,7 +153,7 @@ def evaluate(structure: FinStructure, formula: Formula, env: dict[str, int]) -> 
 
 @dataclass(frozen=True)
 class _Plan:
-    """How backtrack searches a formula for one variable order. due[i]
+    """How a formula is searched for one variable order. due[i]
     holds the top-level conjuncts checked once order[i-1] has a value
     (due[0]: those env alone binds); outside holds the free variables env
     must bind; ties[i] lists (rel, pos, v) for each top-level atom with v at
@@ -164,7 +161,8 @@ class _Plan:
     avoid[i] lists (rel, pos, u) alike for each top-level negated atom
     !R(u, y) or !R(y, u), and (None, 0, u) for each !(y = u) or !(u = y),
     y being order[i] and u bound before it; untied is due without the atoms
-    of ties and avoid (witnessed); branches holds the disjuncts of a
+    of ties and avoid, which the stream's candidates satisfy (backtrack
+    checks due, _stream untied); branches holds the disjuncts of a
     top-level Or, () for any other formula."""
 
     due: tuple[tuple[Formula, ...], ...]
@@ -283,57 +281,83 @@ def _descend(i, env, order, due, candidates, atom, domain) -> Iterator[dict[str,
     env.pop(var, None)
 
 
-def _indexed(
+def _candidates(
     structure: FinStructure, plan: _Plan, cap: Optional[LevelOrdinal]
 ) -> Callable[[int, dict[str, int]], Iterable[int]]:
-    """backtrack candidates over V_cap, narrowed by the neighbour index where
-    the plan ties a slot to bound variables (module docstring)."""
-    ids = structure.v_ids(cap)
-    ties = plan.ties
+    """candidates(i, env): slot i's values over V_cap, ascending, narrowed
+    by its ties and avoided atoms (module docstring)."""
+    ids, nbrs, level_of = structure.v_ids(cap), structure.neighbours, structure.level_of
+    ties, avoid = plan.ties, plan.avoid
+    keys = [operator.itemgetter(*[v for _, _, v in t]) if t else None for t in ties]
+    memo: list[dict] = [{} for _ in ties]
 
     def candidates(i: int, env: dict[str, int]) -> Iterable[int]:
-        if not ties[i]:
-            return ids
-        sets = sorted((structure.neighbours(rel, pos, env[v]) for rel, pos, v in ties[i]), key=len)
-        if len(sets[0]) >= len(ids):
-            return [e for e in ids if all(e in s for s in sets)]
-        # a fresh list: a build grows the index's own sets in place
-        hits = sets[0].intersection(*sets[1:])
-        if cap is not None:
-            hits = [e for e in hits if structure.level_of(e) <= cap]
-        return sorted(hits)
+        key = keys[i](env) if keys[i] else None
+        hit = memo[i].get(key)
+        if hit is None:
+            sets = sorted((nbrs(rel, pos, env[v]) for rel, pos, v in ties[i]), key=len)
+            if not sets:
+                hit = ids
+            elif len(sets[0]) >= len(ids):
+                hit = [e for e in ids if all(e in s for s in sets)]
+            else:
+                # a fresh list: a build grows the index's own sets in place
+                hit = sorted(sets[0].intersection(*sets[1:]))
+                if cap is not None:
+                    hit = [e for e in hit if level_of(e) <= cap]
+            memo[i][key] = hit
+        # each skip is bound now: _descend reassigns env while hit is read
+        for rel, pos, u in avoid[i]:
+            skip = env[u].__eq__ if rel is None else nbrs(rel, pos, env[u]).__contains__
+            hit = itertools.filterfalse(skip, hit)
+        return hit
 
     return candidates
 
 
-def _hits(
+def _stream(
     structure: FinStructure,
     formula: Formula,
-    env: dict[str, int],
+    bound: Iterable[str],
     order: tuple[str, ...],
     cap: Optional[LevelOrdinal],
-) -> Iterator[tuple[int, ...]]:
-    """The one search stream: every tuple over V_cap, for the variables in
-    order, that satisfies formula under env, lexicographic and each once
-    (module docstring). A top-level Or checks env against every branch's
-    free variables before any branch is searched, so an unbound variable
-    raises EvalError here; otherwise on the first step."""
+) -> Callable[[dict[str, int]], Iterator[tuple[int, ...]]]:
+    """hits(env): the one search stream, every tuple over V_cap for the
+    variables in order that satisfies formula under env, lexicographic and
+    each once (module docstring). env binds the variables in bound, which
+    are checked here: EvalError if one is left free. hits assigns the slots
+    in env as it runs, so pass it a dict of your own."""
     plan = _plan(formula, order)
+    _check_bound(plan, bound)
     if plan.branches:
-        _check_bound(plan, env)
-        streams = [_hits(structure, b, env, order, cap) for b in plan.branches]
-        return (t for t, _ in itertools.groupby(heapq.merge(*streams)))
-    hits = backtrack(
-        formula, env, order, _indexed(structure, plan, cap),
-        structure.has_fact, structure.v_ids,
-    )
-    return (tuple([hit[v] for v in order]) for hit in hits)
+        streams = [_stream(structure, b, bound, order, cap) for b in plan.branches]
+        # each branch gets its own env: the merge interleaves their descents
+        return lambda env: (
+            t for t, _ in itertools.groupby(heapq.merge(*[s(dict(env)) for s in streams]))
+        )
+    candidates, checks = _candidates(structure, plan, cap), plan.untied
+    atom, domain = structure.has_fact, structure.v_ids
+    first, direct = checks[0], len(order) == 1 and not checks[1]
+
+    def hits(env: dict[str, int]) -> Iterator[tuple[int, ...]]:
+        if first and any(truth(part, env, atom, domain) is False for part in first):
+            return iter(())
+        if direct:
+            # one slot with nothing left to check at its leaf
+            return zip(candidates(0, env))
+        if not order:
+            return iter(((),))
+        found = _descend(0, env, order, checks, candidates, atom, domain)
+        return (tuple([hit[v] for v in order]) for hit in found)
+
+    return hits
 
 
 def solutions(structure: FinStructure, dset: DefinableSet) -> list[tuple[int, ...]]:
     """All solution tuples, lexicographic in ids. Unbound leftover variables
     raise EvalError."""
-    return list(_hits(structure, dset.formula, dset.env(), dset.vars, dset.cap))
+    env = dset.env()
+    return list(_stream(structure, dset.formula, env, dset.vars, dset.cap)(env))
 
 
 def count(structure: FinStructure, dset: DefinableSet) -> int:
@@ -349,7 +373,7 @@ def find_witness(
 ) -> Optional[tuple[int, ...]]:
     """First tuple over V_cap (lexicographic) satisfying formula, or None:
     the first of solutions() of the capped set, without computing the rest."""
-    return next(_hits(structure, formula, env, witness_vars, cap), None)
+    return next(_stream(structure, formula, env, witness_vars, cap)(dict(env)), None)
 
 
 def witnessed(
@@ -361,42 +385,16 @@ def witnessed(
 ) -> Callable[[tuple[int, ...]], bool]:
     """test(a_bar) is whether find_witness(structure, formula, env, y_vars,
     cap) finds a witness, env binding x_vars to a_bar, while the structure
-    is unchanged. A slot's candidates are its kept index list less the
-    elements its avoided atoms rule out (module docstring). EvalError if a
-    variable is left free."""
+    is unchanged: the first hit of one stream, whose kept candidate lists
+    serve every a_bar. EvalError if a variable is left free. A top-level Or
+    has a witness when some branch has one: the question needs no merge."""
     plan = _plan(formula, y_vars)
-    _check_bound(plan, x_vars)
     if plan.branches:
+        _check_bound(plan, x_vars)
         tests = [witnessed(structure, b, x_vars, y_vars, cap) for b in plan.branches]
         return lambda a_bar: any(test(a_bar) for test in tests)
-    narrowed, checks = _indexed(structure, plan, cap), plan.untied
-    memo: list[dict[tuple[int, ...], Iterable[int]]] = [{} for _ in y_vars]
-    atom, domain, nbrs = structure.has_fact, structure.v_ids, structure.neighbours
-    # one slot with nothing left to check at its leaf: any candidate is a witness
-    direct = len(y_vars) == 1 and not checks[1]
-
-    def candidates(i: int, env: dict[str, int]) -> Iterable[int]:
-        key = tuple([env[v] for _, _, v in plan.ties[i]])
-        hit = memo[i].get(key)
-        if hit is None:
-            hit = memo[i][key] = narrowed(i, env)
-        # each skip is bound now: _descend reassigns env while hit is read
-        for rel, pos, u in plan.avoid[i]:
-            skip = env[u].__eq__ if rel is None else nbrs(rel, pos, env[u]).__contains__
-            hit = itertools.filterfalse(skip, hit)
-        return hit
-
-    def test(a_bar: tuple[int, ...]) -> bool:
-        env = dict(zip(x_vars, a_bar))
-        if any(truth(part, env, atom, domain) is False for part in checks[0]):
-            return False
-        if direct:
-            hits = candidates(0, env)
-        else:
-            hits = _descend(0, env, y_vars, checks, candidates, atom, domain) if y_vars else [env]
-        return next(iter(hits), None) is not None
-
-    return test
+    hits = _stream(structure, formula, x_vars, y_vars, cap)
+    return lambda a_bar: next(hits(dict(zip(x_vars, a_bar))), None) is not None
 
 
 def _atoms(

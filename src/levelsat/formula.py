@@ -614,6 +614,8 @@ def seeded_schedule(
     the generic stream keeps the full fairness guarantee on its half of the
     positions.
     """
+    if count < 0:
+        raise ValueError("count must be >= 0")
     if not seeds:
         return enumerate_schedule(signature, count)
     if horizon < 1:

@@ -64,6 +64,22 @@ def test_schedule_prints_requested_entries():
     assert all("E(" in line or "=" in line for line in lines)
 
 
+@pytest.mark.parametrize("kind", ["seeded", "fair"])
+def test_negative_schedule_count_is_a_usage_error(tmp_path, kind):
+    doc = yaml.safe_load((CONFIGS / "equivalence_drop.yaml").read_text())
+    doc["schedule"] = kind
+    cfg = tmp_path / f"{kind}.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    proc = run_cli("schedule", "--config", cfg, "--count", -1)
+    assert proc.returncode == 2
+    assert "count must be >= 0" in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    proc = run_cli("build", "--config", cfg, "--stages", -1, "--out-dir", tmp_path / "out")
+    assert proc.returncode == 2
+    assert "stages must be a nonnegative integer" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_dim_command_flags_the_drop(equiv_build, tmp_path):
     out, _ = equiv_build
     proc = run_cli(
@@ -97,6 +113,31 @@ def test_dim_expect_failure_exits_one(equiv_build, tmp_path):
     )
     assert proc.returncode == 1
     assert "expectation failed" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [("verdict=DivergesNeg", "verdict=Bounded"), ("verdict=Bounded",),
+     ("any-verdict=DivergesNeg",)],
+)
+def test_dim_verdict_expect_fails_with_no_comparisons(equiv_build, tmp_path, tokens):
+    """With nothing to judge, no verdict expectation is met, as no divide
+    token is met without experiments."""
+    out, _ = equiv_build
+    doc = yaml.safe_load((CONFIGS / "equivalence_drop.yaml").read_text())
+    doc["comparisons"] = []
+    cfg = tmp_path / "none.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    expect = [arg for token in tokens for arg in ("--expect", token)]
+    proc = run_cli(
+        "dim",
+        "--config", cfg,
+        "--chain", out / "generic_equivalence.chain.json",
+        "--out-dir", tmp_path / "out",
+        *expect,
+    )
+    assert proc.returncode == 1
+    assert f"expectation failed: {', '.join(tokens)}" in proc.stdout
 
 
 def test_divide_command_certifies_and_surveys(equiv_build, tmp_path):
@@ -571,6 +612,24 @@ def _rename_set(name):
     return edit
 
 
+def _set_plugin(value):
+    def edit(doc):
+        doc["plugin"] = value
+    return edit
+
+
+def _set_comparison(row):
+    def edit(doc):
+        doc["comparisons"] = [row]
+    return edit
+
+
+def _set_psi(value):
+    def edit(doc):
+        doc["dividing"][0]["psi"] = value
+    return edit
+
+
 def _name_experiments(*names):
     def edit(doc):
         doc["dividing"] = [{**doc["dividing"][0], "name": name} for name in names]
@@ -601,13 +660,17 @@ CSV_ERROR = "would share class_drop."
         ("divide", _name_experiments("class_drop", "class_drop"), "two dividing experiments"),
         ("dim", _rename_set("class_drop.psi"), CSV_ERROR),
         ("divide", _rename_set("class_drop.phi"), CSV_ERROR),
+        ("dim", _set_plugin(["random_graph"]), "unknown plugin ['random_graph']"),
+        ("dim", _set_comparison(["class_of_b", ["ambient"]]), "unknown set ['ambient']"),
+        ("divide", _set_psi(["ambient"]), "unknown psi set ['ambient']"),
     ],
     ids=[
         "split-number-dim", "split-number-divide", "split-text", "split-repeated",
         "split-parameter", "set-name-escapes", "set-name-dotdot", "set-name-empty",
         "set-name-nul", "set-name-number", "experiment-name-escapes",
         "experiment-name-dot", "experiment-name-number", "experiment-names-repeated",
-        "set-name-psi-csv", "set-name-phi-csv",
+        "set-name-psi-csv", "set-name-phi-csv", "plugin-list", "comparison-side-list",
+        "psi-list",
     ],
 )
 def test_bad_set_or_experiment_exits_before_any_output(
@@ -615,7 +678,8 @@ def test_bad_set_or_experiment_exits_before_any_output(
 ):
     """Set and experiment names become output file names, so they must be
     plain, unique ones, and no set's CSV may be an experiment's; a set's
-    split names distinct non-parameter variables."""
+    split names distinct non-parameter variables. A plugin, comparison side
+    or psi that is not text names nothing."""
     out, _ = equiv_build
     doc = yaml.safe_load((CONFIGS / "equivalence_drop.yaml").read_text())
     edit(doc)

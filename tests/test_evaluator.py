@@ -298,7 +298,8 @@ def test_solutions_match_the_product_scan(M, f, data):
 @given(_structures(), _formulas(), st.data())
 def test_witness_test_matches_find_witness(M, f, data):
     """One witness test, asked every parameter tuple in turn, answers each
-    as find_witness does."""
+    as find_witness should: whether the product scan over V_cap finds a
+    witness. The two share the search stream, so the scan is the check."""
     free = sorted(free_vars(f))
     order = data.draw(st.permutations(free + ["y9"]))  # y9: a slot f never mentions
     n_vars = data.draw(st.integers(0, len(order)))
@@ -306,7 +307,11 @@ def test_witness_test_matches_find_witness(M, f, data):
     cap = data.draw(st.sampled_from((None,) + LEVELS))
     test = witnessed(M, f, xs, ys, cap)
     for a_bar in itertools.product(M.universe, repeat=len(xs)):
-        want = find_witness(M, f, dict(zip(xs, a_bar)), ys, cap) is not None
+        env = dict(zip(xs, a_bar))
+        want = any(
+            evaluate(M, f, env | dict(zip(ys, t)))
+            for t in itertools.product(M.v_ids(cap), repeat=len(ys))
+        )
         assert test(a_bar) == want, a_bar
 
 
@@ -445,6 +450,7 @@ def test_indexed_search_matches_the_product_scan(text, order):
                 assert solutions(M, dset) == naive
                 first = naive[0] if naive else None
                 assert find_witness(M, f, env, order, cap) == first
+                assert env == dict(zip(params, vals))  # the caller's env is left alone
                 assert test(vals) == bool(naive)
                 # backtrack with candidates of its own, as the oracle runs it,
                 # still checks the atoms that tie a slot
@@ -491,9 +497,10 @@ def test_common_neighbour_search_work_does_not_grow_with_the_universe():
 
 def test_avoiding_witness_test_work_does_not_grow_with_the_universe():
     """0's out-neighbours are all ids but the last three, a, b and c, and 1's
-    all but b and c. The witness test drops those neighbour sets from each
-    slot's candidates by set lookups, so it evaluates no more atoms at n =
-    200 than at n = 20; a leaf check per rejected candidate grows with n."""
+    all but b and c. The search stream drops those neighbour sets from each
+    slot's candidates by set lookups, so the witness test, find_witness and
+    solutions each evaluate no more atoms at n = 200 than at n = 20; a leaf
+    check per rejected candidate grows with n."""
     f = parse("!E(x0, y0) & !E(x0, y1) & !E(y0, y1)", SIG)
     counts = []
     for n in (20, 200):
@@ -503,12 +510,20 @@ def test_avoiding_witness_test_work_does_not_grow_with_the_universe():
         M = _CountingStructure(
             SIG, tuple((e, fin(0)) for e in range(n)), tuple(("E", t) for t in edges)
         )
-        assert find_witness(M, f, {"x0": 0}, ("y0", "y1"), None) == (a, c)
-        assert find_witness(M, f, {"x0": 1}, ("y0", "y1"), None) is None
+        work = []
         _CountingStructure.calls = 0
         test = witnessed(M, f, ("x0",), ("y0", "y1"), None)
         assert test((0,)) and not test((1,))
-        counts.append(_CountingStructure.calls)
+        work.append(_CountingStructure.calls)
+        _CountingStructure.calls = 0
+        assert find_witness(M, f, {"x0": 0}, ("y0", "y1"), None) == (a, c)
+        assert find_witness(M, f, {"x0": 1}, ("y0", "y1"), None) is None
+        work.append(_CountingStructure.calls)
+        _CountingStructure.calls = 0
+        pairs = [solutions(M, DefinableSet(f, ("y0", "y1"), (("x0", x),))) for x in (0, 1)]
+        assert pairs == [[(a, c), (b, a)], []]
+        work.append(_CountingStructure.calls)
+        counts.append(work)
     assert counts[0] == counts[1]
 
 
