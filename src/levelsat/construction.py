@@ -1,7 +1,8 @@
 """The staged construction: schedules in, audited stage chains out.
 
-Stage n takes the first n schedule entries, sorts them by level (stable in
-schedule position), and processes each entry against the current structure.
+Stage n takes the first n schedule entries, sorts them by level, then
+schedule position (the turn key _turn, made of builtins), and processes each
+entry against the current structure.
 For an entry (phi, x-bar, y-bar, alpha) and each parameter tuple a-bar over
 V_alpha (snapshot taken when the entry's turn starts, lexicographic order):
 
@@ -30,13 +31,17 @@ the V_alpha an entry's previous turn saw is a prefix of today's. A stage
 grows one thawed copy of the previous structure in place, so a case-2 step
 costs the same at any |M|. A chain file keeps of each audit only the case-2
 and case-3 records, each an [a, witness] pair (witness null for case 3).
+Loading derives the rest of each audit from final and the birth stamps, and
+does once per schedule entry what does not depend on the turn: the parse of
+its formula text, V_alpha of final, its obligation's frontier key and its
+turn key.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Optional
@@ -44,6 +49,7 @@ from typing import Iterable, Optional
 from .evaluator import diag_key, diagram, evaluate, find_witness, witnessed
 from .formula import (
     Eq,
+    Formula,
     LevelOrdinal,
     ScheduleEntry,
     Signature,
@@ -220,9 +226,11 @@ def build_stage(
     return M._freeze(), StageAudit(stage, tuple(audits))
 
 
-def _turn(entry: ScheduleEntry) -> tuple[LevelOrdinal, int]:
-    """A stage processes its entries by level, then by schedule position."""
-    return entry.level, entry.position
+def _turn(entry: ScheduleEntry) -> tuple[str, int, int]:
+    """A stage processes its entries by level, then by schedule position.
+    The key is (level.tag, level.index, position), builtins that order as
+    (level, position) does, LevelOrdinal comparing by those two fields."""
+    return entry.level.tag, entry.level.index, entry.position
 
 
 def _skipped(seen: Optional[tuple[int, ...]], k: int) -> int:
@@ -471,6 +479,13 @@ def chain_from_doc(doc: dict) -> StageChain:
     of that cut, skipped follows by the skip rule, and internal is what the
     skips and records leave of |v_before|^k.
 
+    What does not depend on the turn is done once per entry: its formula
+    (one parse per distinct text), V_alpha of final, an int naming its
+    obligation for the frontier, and its turn key _turn, inserted into the
+    turn order at the first stage that holds the entry. A turn whose cut is
+    the one its obligation's previous turn saw shares that v_before tuple,
+    and when it has no records, the entry's audit of such a turn too.
+
     The cut is exact only if birth stamps never decrease in id order, so a
     file where they do is rejected. So is a record whose parameter tuple its
     entry did not process, that is not a k-tuple over v_before with a
@@ -504,25 +519,34 @@ def chain_from_doc(doc: dict) -> StageChain:
         raise ConstructionError(f"birth stages must be integers in [0, {n}]")
     if any(b > c for b, c in zip(born, born[1:])):
         raise ConstructionError("birth stages must not decrease in id order")
-    schedule = tuple(_entry_from_doc(d, final.signature) for d in doc["schedule"])
+    schedule, keys = _schedule_from_doc(doc["schedule"], final.signature)
     if len(schedule) < n:
         raise ConstructionError(f"{n} stages need {n} schedule entries, got {len(schedule)}")
-    keys = [e.key() for e in schedule]
-    frontier: dict = {}
+    vids = [final.v_ids(e.level) for e in schedule[:n]]
+    order: list[tuple[tuple[str, int, int], int]] = []  # (turn key, index), sorted
+    frontier: dict[int, tuple[int, ...]] = {}
+    idle: list[Optional[EntryAudit]] = [None] * n  # per entry, shared by its idle turns
     watermark = max((e for e, b in zip(final.universe, born) if b == 0), default=-1)
     audits = []
     for stage, lists in enumerate(stages, 1):
         if not isinstance(lists, list) or len(lists) != stage:
             raise ConstructionError(f"stage {stage} needs a list of {stage} record lists")
+        insort(order, (_turn(schedule[stage - 1]), stage - 1))
         entries = []
-        for i, recs in zip(sorted(range(stage), key=lambda j: _turn(schedule[j])), lists):
+        for (_, i), recs in zip(order, lists):
             if not isinstance(recs, list):
                 raise ConstructionError(f"stage {stage} has a record list that is not a list")
-            entry = schedule[i]
-            k, vids, top = len(entry.x_vars), final.v_ids(entry.level), watermark
-            v_before = vids[: bisect_right(vids, top)]
-            seen, records = frontier.get(keys[i]), []
-            skipped, floor = _skipped(seen, k), (seen[-1] if seen else -1)
+            entry, top = schedule[i], watermark
+            k, p = len(entry.x_vars), bisect_right(vids[i], top)
+            seen = frontier.get(keys[i])
+            v_before = seen if seen is not None and len(seen) == p else vids[i][:p]
+            if v_before is seen and not recs:
+                # the cut its obligation saw last turn: all skipped, nothing new
+                if idle[i] is None or idle[i].v_before is not v_before:
+                    idle[i] = EntryAudit(entry.position, entry.level, v_before, p**k, 0, ())
+                entries.append(idle[i])
+                continue
+            skipped, floor, records = _skipped(seen, k), (seen[-1] if seen else -1), []
             for r in recs:
                 rec = _record_from_doc(r, final, watermark, len(entry.y_vars))
                 a = rec.a_tuple
@@ -540,7 +564,7 @@ def chain_from_doc(doc: dict) -> StageChain:
                 watermark += len(rec.new_ids)
             frontier[keys[i]] = v_before
             # distinct processed tuples: never more than the tuples left
-            internal = len(v_before) ** k - skipped - len(records)
+            internal = p**k - skipped - len(records)
             entries.append(
                 EntryAudit(entry.position, entry.level, v_before, skipped, internal, tuple(records))
             )
@@ -555,15 +579,33 @@ def chain_from_doc(doc: dict) -> StageChain:
     return chain
 
 
-def _entry_from_doc(d: dict, sig: Signature) -> ScheduleEntry:
-    """A schedule entry with text formula and level, lists of text for the
-    variables and an integer position."""
-    text, xs, ys, level, pos = (d[f] for f in ("formula", "x_vars", "y_vars", "level", "position"))
-    if not (isinstance(text, str) and isinstance(level, str) and type(pos) is int):
-        raise ConstructionError("schedule entries need text formula and level, integer position")
-    if not all(isinstance(v, list) and all(isinstance(s, str) for s in v) for v in (xs, ys)):
-        raise ConstructionError("schedule x_vars and y_vars must be lists of text")
-    return ScheduleEntry(parse(text, sig), tuple(xs), tuple(ys), parse_level(level), pos)
+def _schedule_from_doc(
+    docs: list, sig: Signature
+) -> tuple[tuple[ScheduleEntry, ...], list[int]]:
+    """The schedule entries, each with text formula and level, lists of text
+    for the variables and an integer position, and for each entry an int
+    that names its obligation: equal ints for equal entry.key(). Each
+    distinct formula text is parsed and rendered once, and its entries share
+    the one Formula; a text that does not parse is rejected at its first
+    entry."""
+    parsed: dict[str, tuple[Formula, str]] = {}
+    obligations: dict[tuple, int] = {}
+    schedule, keys = [], []
+    for d in docs:
+        text, xs, ys, level, pos = (d[f] for f in ("formula", "x_vars", "y_vars", "level", "position"))
+        if not (isinstance(text, str) and isinstance(level, str) and type(pos) is int):
+            raise ConstructionError("schedule entries need text formula and level, integer position")
+        if not all(isinstance(v, list) and all(isinstance(s, str) for s in v) for v in (xs, ys)):
+            raise ConstructionError("schedule x_vars and y_vars must be lists of text")
+        if text not in parsed:
+            f = parse(text, sig)
+            parsed[text] = (f, render(f))
+        f, shown = parsed[text]
+        entry = ScheduleEntry(f, tuple(xs), tuple(ys), parse_level(level), pos)
+        key = (shown, entry.x_vars, entry.y_vars, entry.level.tag, entry.level.index)
+        keys.append(obligations.setdefault(key, len(obligations)))
+        schedule.append(entry)
+    return tuple(schedule), keys
 
 
 def _record_from_doc(r: list, final: FinStructure, watermark: int, n_y: int) -> CaseRecord:

@@ -6,7 +6,7 @@ there and the legend says so."""
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 from .dimension import DimTrend
 
@@ -111,12 +111,12 @@ def trend_plot_svg(
         out.append(
             f"<line x1='{ml + 10}' y1='{ly + 4}' x2='{ml + 34}' y2='{ly + 4}' "
             f"stroke='{color}' stroke-width='2.4'/>"
-            f"<text x='{ml + 40}' y='{ly + 8}' {_FONT} font-size='11'>{escape(label)}</text>"
+            f"<text x='{ml + 40}' y='{ly + 8}' {_FONT} font-size='11'>{escape(label, quote=False)}</text>"
         )
         ly += 16
     if caption:
         out.append(
-            f"<text x='{ml}' y='{_HEIGHT - 6}' {_FONT} font-size='12'>{escape(caption)}</text>"
+            f"<text x='{ml}' y='{_HEIGHT - 6}' {_FONT} font-size='12'>{escape(caption, quote=False)}</text>"
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -133,7 +133,8 @@ class FinStructure:
         neighbour set it first touches since the thaw; see apply_delta for
         the checks. Everything is checked before anything changes, so a
         rejected delta leaves the structure as it was."""
-        sig, level = self.signature, self._level
+        level = self._level
+        arity = dict(self.signature.relations)
         fresh: dict[int, LevelOrdinal] = {}
         for eid, lvl in delta.new_elements:
             if type(eid) is not int or eid < 0:
@@ -143,16 +144,18 @@ class FinStructure:
             if eid in fresh:
                 raise StructureError(f"duplicate element id {eid}")
             fresh[eid] = lvl
+        new_ids = fresh.keys()
         added = []
         for rel, tup in delta.new_facts:
-            if not sig.has(rel):
+            ar = arity.get(rel)
+            if ar is None:
                 raise StructureError(f"unknown relation {rel!r}")
-            if not any(e in fresh for e in tup):
+            if new_ids.isdisjoint(tup):
                 raise StructureError(f"fact {rel}{tup} touches no new element")
             for e in tup:
                 if type(e) is not int or not (e in level or e in fresh):
                     raise StructureError(f"fact {rel}{tup} mentions unknown element {e!r}")
-            if len(tup) != sig.arity(rel):
+            if len(tup) != ar:
                 raise StructureError(f"arity mismatch for {rel!r}: {tup}")
             added.append((rel, tuple(tup)))
         level.update(fresh)
@@ -245,15 +248,25 @@ class FinStructure:
     @staticmethod
     def from_doc(doc: dict) -> "FinStructure":
         """Inverse of to_doc. Ids and arities must be plain ints: a float, a
-        bool or a text is rejected, never coerced."""
+        bool or a text is rejected, never coerced. Levels must be text, and
+        facts an object from relation names to lists of tuples."""
         relations = []
         for name, arity in doc["signature"]:
             if type(arity) is not int:
                 raise StructureError(f"arity of {name!r} must be an int, got {arity!r}")
             relations.append((name, arity))
-        elements = tuple((eid, parse_level(lvl)) for eid, lvl in doc["elements"])
+        levels: dict[str, LevelOrdinal] = {}  # each distinct level text parsed once
+        elements = []
+        for eid, lvl in doc["elements"]:
+            if type(lvl) is not str:
+                raise StructureError(f"level of element {eid!r} must be text, got {lvl!r}")
+            if lvl not in levels:
+                levels[lvl] = parse_level(lvl)
+            elements.append((eid, levels[lvl]))
+        if not isinstance(doc["facts"], dict):
+            raise StructureError("facts must map each relation name to its tuples")
         facts = tuple((name, tuple(t)) for name, tups in doc["facts"].items() for t in tups)
-        return FinStructure(Signature(tuple(relations)), elements, facts)
+        return FinStructure(Signature(tuple(relations)), tuple(elements), facts)
 
     @staticmethod
     def from_json(text: str) -> "FinStructure":

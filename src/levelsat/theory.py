@@ -434,22 +434,21 @@ class HensonTriangleFreeTheory(_GraphTheory):
     )
 
     def _edges_ok(self, M, env, val) -> bool:
-        """No true fresh pair closes a triangle. The third vertex w must be
-        adjacent to both ends, so only the markers and, for a pair with an
-        old end, that end's old neighbours can close one. A marker-marker
-        pair needs no old w: a triangle with an old w also has the true
-        fresh pair (marker, w), whose check finds the other marker."""
+        """No true fresh pair closes a triangle. A pair is (low, high), so
+        its low end a is a marker, and a marker's edges, to old elements
+        and to other markers alike, are exactly its true fresh pairs. So
+        (a, b) closes a triangle just when b is adjacent to another of a's
+        true partners, and only those are tried as the third vertex."""
+        true_pairs = [p for p, v in val.items() if v]
+        partners: dict[int, list[int]] = {}
+        for a, b in true_pairs:
+            partners.setdefault(a, []).append(b)
+            partners.setdefault(b, []).append(a)
         # a fresh pair missing from val reads None: no edge
         edge = partial(self._slot_atom, M, val, "R")
-        true_pairs = [p for p, v in val.items() if v]
-        if not true_pairs:
-            return True
-        markers = sorted({t for t in env.values() if t < 0}, key=abs)
         for a, b in true_pairs:
-            # a pair is (low, high), so a is a marker and b may be old
-            olds = M.neighbours("R", 0, b) if b >= 0 else ()
-            for w in itertools.chain(olds, markers):
-                if w != a and w != b and edge((a, w)) and edge((b, w)):
+            for w in partners[a]:
+                if w != b and edge((b, w)):
                     return False
         return True
 

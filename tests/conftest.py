@@ -26,6 +26,11 @@ def equiv30():
 
 
 @pytest.fixture(scope="session")
+def equiv60():
+    return build_chain(get_plugin("generic_equivalence"), 60)
+
+
+@pytest.fixture(scope="session")
 def iset30():
     return build_chain(get_plugin("infinite_set"), 30)
 

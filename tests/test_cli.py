@@ -45,6 +45,15 @@ def iset_build(tmp_path_factory):
     return out, proc.stdout
 
 
+def test_import_leaves_the_network_stack_unloaded():
+    """Importing the command line in a fresh interpreter pulls in neither
+    urllib.request nor http.client: startup time is part of every command."""
+    probe = "import sys, levelsat.cli; print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_build_writes_chain_and_audit(equiv_build):
     out, stdout = equiv_build
     assert (out / "generic_equivalence.chain.json").is_file()
@@ -470,6 +479,22 @@ def test_chain_file_ids_must_be_ints(equiv_build, tmp_path, corrupt):
         "--chain", bad,
         "--out-dir", tmp_path,
     )
+    assert proc.returncode == 2
+    assert "bad chain file: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_set_in_final("elements", (0, 1), [0]), lambda doc: {**doc, "final": {**doc["final"], "facts": []}}],
+    ids=["level-list", "facts-list"],
+)
+def test_chain_file_levels_and_facts_must_have_their_shape(equiv_build, tmp_path, corrupt):
+    out, _ = equiv_build
+    doc = json.loads((out / "generic_equivalence.chain.json").read_text())
+    bad = tmp_path / "bad.chain.json"
+    bad.write_text(json.dumps(corrupt(doc)))
+    proc = run_cli("export", "--chain", bad, "--out-dir", tmp_path)
     assert proc.returncode == 2
     assert "bad chain file: " in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -2,6 +2,7 @@
 serialization, and finite model embedding."""
 
 import itertools
+import json
 from dataclasses import replace
 
 import pytest
@@ -12,6 +13,7 @@ from levelsat.construction import (
     InternalFaultError,
     StageAudit,
     StageChain,
+    _schedule_from_doc,
     build_chain,
     build_m0,
     build_stage,
@@ -27,6 +29,7 @@ from levelsat.construction import (
 )
 from levelsat.evaluator import diag_key, evaluate, find_witness, witnessed
 from levelsat.formula import (
+    ParseError,
     ScheduleEntry,
     Signature,
     fin,
@@ -37,8 +40,10 @@ from levelsat.formula import (
 from levelsat.structures import FinStructure, canonical_json
 from levelsat.theory import PLUGINS, RandomGraphTheory, get_plugin
 
+import test_cli
 from build_reference import reference_chain
 from equivalence_reference import level_key, replay
+from load_reference import reference_chain_from_doc
 
 EQUIV = get_plugin("generic_equivalence")
 RADO = get_plugin("random_graph")
@@ -364,6 +369,110 @@ def test_30_stage_chain_round_trip(request, fixture):
     assert back.born == chain.born and back.audits == chain.audits
 
 
+# -- the loader against its per-turn reference ----------------------------------------
+
+
+def _load_outcome(load, doc):
+    """The chain load(doc) returns, or the class and message of what it
+    raises."""
+    try:
+        return load(doc)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _corruptions(test):
+    """The (id, corrupt) cases of a test parametrized over corrupt."""
+    (mark,) = [m for m in test.pytestmark if m.name == "parametrize"]
+    return list(zip(mark.kwargs["ids"], mark.args[1]))
+
+
+@pytest.mark.parametrize(
+    "source", [f"12:{name}" for name in sorted(PLUGINS)] + ["equiv30", "rado30", "equiv60"]
+)
+def test_loader_matches_the_per_turn_reference(request, chains12, source):
+    """The loader that does the per-entry work once returns the chain that
+    re-sorting, re-reading V_alpha and re-rendering keys at every turn
+    returns, on the bundled 12-stage chains and longer ones."""
+    if source.startswith("12:"):
+        chain = chains12[source[3:]]
+    else:
+        chain = request.getfixturevalue(source)
+    doc = chain_to_doc(chain)
+    back = chain_from_doc(doc)
+    assert back == reference_chain_from_doc(doc)
+    assert back == chain
+
+
+@pytest.mark.parametrize(
+    "case",
+    _corruptions(test_cli.test_malformed_chain_file_is_a_usage_error)
+    + _corruptions(test_cli.test_chain_file_ids_must_be_ints),
+    ids=lambda case: case[0],
+)
+def test_loader_rejects_what_the_reference_rejects(equiv30, case):
+    """On every corrupted chain file of the command line tests, the two
+    loaders raise the same exception with the same message."""
+    _, corrupt = case
+    doc = corrupt(json.loads(serialize_chain(equiv30)))
+    got = _load_outcome(chain_from_doc, doc)
+    assert type(got) is tuple, "a corrupted chain loaded"
+    assert got == _load_outcome(reference_chain_from_doc, doc)
+
+
+_SPREAD = "E(x0, y0) & !(y0 = x0)"
+
+
+def _crafted_schedule():
+    """Entries that share a formula text but differ in variables or level,
+    one obligation at two positions, two texts of equal length, and fin0
+    positions that fall as the index rises, so that turn order is not
+    schedule order."""
+    rows = [
+        (_SPREAD, ("x0",), ("y0",), fin(0), 3),
+        (_SPREAD, ("x0",), ("y0",), fin(1), 1),  # another level
+        (_SPREAD, (), ("x0", "y0"), fin(1), 5),  # another variable split
+        ("!E(x0, y0)", ("x0",), ("y0",), fin(0), 0),
+        (_SPREAD, ("x0",), ("y0",), fin(0), 2),  # entry 0's obligation again
+        ("E(x0, y0) & !(x0 = y0)", ("x0",), ("y0",), fin(1), 4),  # as long as _SPREAD
+    ]
+    return tuple(
+        ScheduleEntry(parse(text, EQUIV.signature), xs, ys, level, pos)
+        for text, xs, ys, level, pos in rows
+    )
+
+
+def test_crafted_schedule_loads_with_one_key_per_obligation():
+    schedule = _crafted_schedule()
+    chain = build_chain(EQUIV, len(schedule), schedule=schedule)
+    doc = chain_to_doc(chain)
+    _, keys = _schedule_from_doc(doc["schedule"], EQUIV.signature)
+    assert len(set(keys)) == 5 and keys[4] == keys[0]
+    back = chain_from_doc(doc)
+    assert back == chain == reference_chain_from_doc(doc)
+    assert back.schedule[0].formula is back.schedule[4].formula
+    for audit in back.audits:
+        turns = [(ea.level, ea.position) for ea in audit.entries]
+        assert turns == sorted(turns)
+    # position 2 first takes its turn at stage 5, before position 3, and
+    # skips what its obligation processed at position 3 in stage 4
+    stage4, stage5 = ({ea.position: ea for ea in a.entries} for a in back.audits[3:5])
+    assert stage5[2].skipped == len(stage4[3].v_before) > 0
+
+
+def test_a_repeated_bad_formula_is_rejected_at_its_first_entry():
+    """Entries 1 and 4 hold one text that does not parse, and entry 2's
+    position is not an int: the parse error at entry 1 comes first."""
+    schedule = _crafted_schedule()
+    doc = chain_to_doc(build_chain(EQUIV, len(schedule), schedule=schedule))
+    for i in (1, 4):
+        doc["schedule"][i]["formula"] = "E(x0, y0) &"
+    doc["schedule"][2]["position"] = "5"
+    got = _load_outcome(chain_from_doc, doc)
+    assert got[0] is ParseError
+    assert got == _load_outcome(reference_chain_from_doc, doc)
+
+
 def _queries(M, levels):
     """What a caller can read from M: its file form, V_alpha at the given
     levels and every neighbour lookup."""
@@ -493,7 +602,11 @@ def test_witness_test_matches_find_witness_on_every_entry(chains12, name):
                 assert test(a_bar) == want, (entry, a_bar)
 
 
-_LONG_BUILDS = {("generic_equivalence", 30): "equiv30", ("random_graph", 30): "rado30"}
+_LONG_BUILDS = {
+    ("generic_equivalence", 30): "equiv30",
+    ("generic_equivalence", 60): "equiv60",
+    ("random_graph", 30): "rado30",
+}
 
 
 @pytest.mark.parametrize(

@@ -296,3 +296,21 @@ def test_from_doc_rejects_ids_and_arities_that_are_not_ints(edit):
     edit(doc)
     with pytest.raises(StructureError):
         FinStructure.from_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["elements"][0].__setitem__(1, 0),
+        lambda d: d["elements"][1].__setitem__(1, ["fin2"]),
+        lambda d: d.__setitem__("facts", [["E", [0, 1]]]),
+    ],
+    ids=["level-number", "level-list", "facts-list"],
+)
+def test_from_doc_rejects_levels_and_facts_of_the_wrong_shape(edit):
+    """A level that is not text and facts that are not an object are
+    rejected as bad structures, not met by an AttributeError."""
+    doc = _pair().to_doc()
+    edit(doc)
+    with pytest.raises(StructureError):
+        FinStructure.from_doc(doc)

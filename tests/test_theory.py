@@ -349,20 +349,25 @@ def test_fresh_only_step_costs_the_same_at_any_size(monkeypatch):
     assert counts[0][1] == 2  # the two parameters, and no pool id
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(12))
 def test_triangle_veto_matches_the_full_walk(seed):
     """_edges_ok against a walk over every old element and marker as the
-    third vertex of a triangle through a true fresh pair."""
+    third vertex of a triangle through a true fresh pair. Seeds from 6 on
+    draw denser and larger old graphs, where an old end has degree 5 or
+    more."""
     rng = random.Random(seed)
+    n_max, density = (6, 0.4) if seed < 6 else (10, 0.75)
+    top_degree = 0
     for _ in range(40):
-        n, k = rng.randint(1, 6), rng.randint(1, 3)
+        n, k = rng.randint(1, n_max), rng.randint(1, 3)
         edges = {
-            t for a, b in itertools.combinations(range(n), 2) if rng.random() < 0.4
+            t for a, b in itertools.combinations(range(n), 2) if rng.random() < density
             for t in ((a, b), (b, a))
         }
         M = FinStructure(
             GSIG, tuple((e, fin(0)) for e in range(n)), tuple(("R", t) for t in edges)
         )
+        top_degree = max(top_degree, *(len(M.neighbours("R", 0, e)) for e in range(n)))
         markers = [-(j + 1) for j in range(k)]
         env = {f"y{j}": m for j, m in enumerate(markers)}
         pairs = [(m, e) for m in markers for e in range(n)]
@@ -380,6 +385,7 @@ def test_triangle_veto_matches_the_full_walk(seed):
             for w in list(range(n)) + markers if w not in (a, b)
         )
         assert HENSON._edges_ok(M, env, val) is not closes
+    assert seed < 6 or top_degree >= 5
 
 
 # -- oracle soundness ---------------------------------------------------------------
