@@ -133,6 +133,14 @@ def _file_name(name, what: str) -> str:
     return name
 
 
+def _known(spec: dict, keys: str, where: str) -> None:
+    """Each key of spec must be one of the space-separated keys: an unknown
+    one would otherwise be dropped without a word."""
+    for key in spec:
+        if key not in keys.split():
+            raise ConfigError(f"{where}: unknown key {key!r}")
+
+
 def load_config(path: str) -> Config:
     try:
         doc = yaml.safe_load(Path(path).read_text())
@@ -142,6 +150,7 @@ def load_config(path: str) -> Config:
         raise ConfigError(f"bad YAML: {e}")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
+    _known(doc, "plugin stages schedule horizon comparator sets comparisons dividing", "config")
     name = doc.get("plugin")
     if not isinstance(name, str) or name not in PLUGINS:
         raise ConfigError(
@@ -158,6 +167,7 @@ def load_config(path: str) -> Config:
     if type(horizon) is not int or horizon < 1:
         raise ConfigError("horizon must be a positive integer")
     comp = _shaped(doc.get("comparator"), dict, "comparator")
+    _known(comp, "window bound", "comparator")
     window, bound = _comparator(comp.get("window", 10), comp.get("bound", 2.0))
 
     def parse_formula(text) -> Formula:
@@ -173,6 +183,7 @@ def load_config(path: str) -> Config:
         _file_name(sname, "set")
         if not isinstance(spec, dict):
             raise ConfigError(f"set {sname!r} must be a mapping")
+        _known(spec, "formula params split cap", f"set {sname!r}")
         f = parse_formula(spec.get("formula"))
         params_raw = spec.get("params") or {}
         if not isinstance(params_raw, dict):
@@ -217,6 +228,7 @@ def load_config(path: str) -> Config:
         if not isinstance(spec, dict):
             raise ConfigError("each dividing experiment must be a mapping")
         dname = _file_name(spec.get("name", f"experiment{i}"), "dividing experiment")
+        _known(spec, "name phi psi a b k L", f"dividing {dname!r}")
         if any(d.name == dname for d in dividing):
             raise ConfigError(f"two dividing experiments are named {dname!r}")
         for stem in (f"{dname}.psi", f"{dname}.phi"):
@@ -348,10 +360,14 @@ def cmd_dim(
     final = chain.final
     report = {"window": window, "bound": bound, "comparisons": []}
     verdicts = []
+    # every comparison is made before the first line is printed or written,
+    # so a bad one leaves no output behind
+    results = []
     for left, right in cfg.comparisons:
         t1 = trend(chain, build_set(cfg.sets[left], final), label=left)
         t2 = trend(chain, build_set(cfg.sets[right], final), label=right)
-        res = dim_compare(t1, t2, window, bound)
+        results.append((left, right, t1, t2, dim_compare(t1, t2, window, bound)))
+    for left, right, t1, t2, res in results:
         verdicts.append(res.verdict)
         print(f"{left} vs {right}: {res.verdict} ({res.evidence})")
         csv1 = out_dir / f"{left}.csv"
@@ -396,6 +412,9 @@ def cmd_divide(
     final = chain.final
     report = {"window": window, "bound": bound, "seed": seed, "experiments": []}
     certified_all, dropped_all = True, True
+    # every experiment runs before the first line is printed or written, so
+    # a bad one leaves no output behind
+    results = []
     for spec in cfg.dividing:
         a_ids = tuple(resolve_anchor(final, r) for r in spec.a_raw)
         b_ids = tuple(resolve_anchor(final, r) for r in spec.b_raw)
@@ -406,6 +425,8 @@ def cmd_divide(
         drop = find_dimension_drop(
             chain, psi, spec.phi, a_ids, b_ids, window=window, bound=bound, seed=seed
         )
+        results.append((spec, a_ids, b_ids, witness, drop))
+    for spec, a_ids, b_ids, witness, drop in results:
         certified_all &= witness is not None
         dropped_all &= drop.any_diverges_neg
         psi_csv = out_dir / f"{spec.name}.psi.csv"
@@ -505,8 +526,8 @@ def cmd_export(chain: StageChain, stem: str, out_dir: Path) -> int:
     _write(out_dir / f"{stem}.final.json", final.to_json() + "\n")
     rows = ["stage,size,levels"]
     for n in range(chain.n_stages + 1):
-        # stage n holds the elements born by n: a prefix, as the loader
-        # keeps birth stamps nondecreasing in id order
+        # stage n holds the elements born by n: a prefix, as stamps derived
+        # from the records never decrease in id order
         ids = final.universe[: bisect_right(chain.born, n)]
         rows.append(f"{n},{len(ids)},{_level_histogram(final, ids)}")
     _write(out_dir / f"{stem}.stages.csv", "\n".join(rows) + "\n")

@@ -30,11 +30,13 @@ elements is permanent and case-3 answers are final. New ids come last, so
 the V_alpha an entry's previous turn saw is a prefix of today's. A stage
 grows one thawed copy of the previous structure in place, so a case-2 step
 costs the same at any |M|. A chain file keeps of each audit only the case-2
-and case-3 records, each an [a, witness] pair (witness null for case 3).
-Loading derives the rest of each audit from final and the birth stamps, and
-does once per schedule entry what does not depend on the turn: the parse of
-its formula text, V_alpha of final, its obligation's frontier key and its
-turn key.
+and case-3 records, each an [a, witness] pair (witness null for case 3), and
+of the birth stamps only the count of ids embed_model added after the last
+record. Loading derives the rest of each audit and every birth stamp from
+final and the records: stage 0 is build_m0's, and every later element is a
+new id of one record or an embedded one. It does once per schedule entry
+what does not depend on the turn: the parse of its formula text, V_alpha of
+final, its obligation's frontier key and its turn key.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import itertools
 import json
 from bisect import bisect_right, insort
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Optional
 
 from .evaluator import diag_key, diagram, evaluate, find_witness, witnessed
@@ -61,7 +63,7 @@ from .formula import (
     seeded_schedule,
 )
 from .structures import ExtensionDelta, FinStructure, apply_delta, canonical_json
-from .theory import PLUGINS, TheoryPlugin
+from .theory import PLUGINS, TheoryPlugin, get_plugin
 
 
 class InternalFaultError(RuntimeError):
@@ -103,8 +105,11 @@ class StageAudit:
 @dataclass(frozen=True)
 class StageChain:
     """The final structure plus born[j], the stage at which final.universe[j]
-    entered; audits[i] describes the work of stage i+1. Stage s is final cut
-    to the ids born by s, so stage_of(ids) is the first stage holding ids.
+    entered; audits[i] describes the work of stage i+1. A build stamps ids
+    as it makes them, and a load derives the stamps from the records (see
+    chain_from_doc); either way they never decrease in id order. Stage s is
+    final cut to the ids born by s, so stage_of(ids) is the first stage
+    holding ids.
     stages[i] replays M_i from the stamps: M_0 holds the elements born at
     stage 0 and the facts among them, and M_{i+1} adds the elements born at
     stage i+1 and the facts whose stage_of is i+1. The replay is exact
@@ -146,10 +151,12 @@ class StageChain:
         return (*stages, M)
 
 
+@cache
 def build_m0(plugin: TheoryPlugin) -> FinStructure:
     """One element at level fin0 carrying exactly the facts forced by the
     universal axioms: the intersection of all single-element fact sets that
-    satisfy them. Errors out if no fact set does."""
+    satisfy them. Errors out if no fact set does. Memoised per plugin: the
+    structure is frozen, and every build, write and load asks for it."""
     slots = []
     for rel, ar in plugin.signature.relations:
         slots.append((rel, (0,) * ar))
@@ -434,10 +441,17 @@ def embed_model(
 # serialization
 
 
-CHAIN_FORMAT = 4
+CHAIN_FORMAT = 5
+_CHAIN_KEYS = frozenset(("format", "plugin", "schedule", "final", "records", "embedded"))
 
 
 def chain_to_doc(chain: StageChain) -> dict:
+    """The chain file's document. Of the birth stamps it keeps only
+    embedded, the number of ids past M0's and the records' new ids: those
+    embed_model added after the last record. The loader derives the rest."""
+    made = build_m0(get_plugin(chain.plugin_name)).size() + sum(
+        len(r.new_ids) for a in chain.audits for ea in a.entries for r in ea.records
+    )
     return {
         "format": CHAIN_FORMAT,
         "plugin": chain.plugin_name,
@@ -452,7 +466,6 @@ def chain_to_doc(chain: StageChain) -> dict:
             for e in chain.schedule
         ],
         "final": chain.final.to_doc(),
-        "born": list(chain.born),
         "records": [
             [
                 [[list(r.a_tuple), None if r.witness is None else list(r.witness)]
@@ -461,6 +474,7 @@ def chain_to_doc(chain: StageChain) -> dict:
             ]
             for a in chain.audits
         ],
+        "embedded": chain.final.size() - made,
     }
 
 
@@ -474,10 +488,16 @@ def chain_from_doc(doc: dict) -> StageChain:
     order; the schedule gives each entry's position and level. Ids are
     handed out as max_id + 1, and each fresh id is a witness component, so
     a record's new ids are its witness ids past a watermark: the largest id
-    that M0 or an earlier record created. An entry saw final cut down to
-    the ids up to the watermark at its turn's start. Its v_before is V_alpha
-    of that cut, skipped follows by the skip rule, and internal is what the
-    skips and records leave of |v_before|^k.
+    that M0 (build_m0, as the build makes stage 0) or an earlier record
+    created. An entry saw final cut down to the ids up to the watermark at
+    its turn's start. Its v_before is V_alpha of that cut, skipped follows
+    by the skip rule, and internal is what the skips and records leave of
+    |v_before|^k.
+
+    The birth stamps follow from the same walk: 0 for M0's ids, the
+    record's stage for its new ids, and the last stage for the embedded ids
+    past the last record, which embed_model adds. They never decrease in id
+    order, so stage s is a prefix of final's ids.
 
     What does not depend on the turn is done once per entry: its formula
     (one parse per distinct text), V_alpha of final, an int naming its
@@ -486,22 +506,23 @@ def chain_from_doc(doc: dict) -> StageChain:
     the one its obligation's previous turn saw shares that v_before tuple,
     and when it has no records, the entry's audit of such a turn too.
 
-    The cut is exact only if birth stamps never decrease in id order, so a
-    file where they do is rejected. So is a record whose parameter tuple its
-    entry did not process, that is not a k-tuple over v_before with a
-    component past the previous turn's prefix, or that breaks the
-    lexicographic order of the entry's records; a witness that is not one id
-    per y variable; a record whose new ids skip an id or that
-    check_level_freeze rejects; and an unknown plugin, or a
-    final structure over another signature than the plugin's."""
+    Rejected: a missing or extra key; an embedded count that is not a
+    nonnegative int; an element of final that is not M0's, a record's new
+    id or one of the embedded ids; a record whose parameter tuple its entry
+    did not process, that is not a k-tuple over v_before with a component
+    past the previous turn's prefix, or that breaks the lexicographic order
+    of the entry's records; a witness that is not one id per y variable; a
+    record whose new ids skip an id or that check_level_freeze rejects; and
+    an unknown plugin, or a final structure over another signature than the
+    plugin's."""
     if not isinstance(doc, dict):
         raise ConstructionError("a chain must be a JSON object")
     fmt = doc.get("format")
     if type(fmt) is not int or fmt != CHAIN_FORMAT:
         raise ConstructionError(f"need chain format {CHAIN_FORMAT}, got {fmt!r}")
-    missing = {"plugin", "schedule", "final", "born", "records"} - doc.keys()
-    if missing:
-        raise ConstructionError(f"missing keys {sorted(missing)}")
+    missing, extra = _CHAIN_KEYS - doc.keys(), doc.keys() - _CHAIN_KEYS
+    if missing or extra:
+        raise ConstructionError(f"missing keys {sorted(missing)}, extra keys {sorted(extra)}")
     name = doc["plugin"]
     plugin = PLUGINS.get(name) if isinstance(name, str) else None
     if plugin is None:
@@ -509,16 +530,12 @@ def chain_from_doc(doc: dict) -> StageChain:
     final = FinStructure.from_doc(doc["final"])
     if final.signature != plugin.signature:
         raise ConstructionError(f"the final signature is not {plugin.name}'s")
-    born, stages = doc["born"], doc["records"]
+    stages, embedded = doc["records"], doc["embedded"]
     if not isinstance(stages, list):
         raise ConstructionError("records must be a list with one list per stage")
+    if type(embedded) is not int or embedded < 0:
+        raise ConstructionError(f"embedded must be a nonnegative integer, got {embedded!r}")
     n = len(stages)
-    if not isinstance(born, list) or len(born) != final.size():
-        raise ConstructionError(f"need one birth stage per element, {final.size()} in all")
-    if not all(type(b) is int and 0 <= b <= n for b in born):
-        raise ConstructionError(f"birth stages must be integers in [0, {n}]")
-    if any(b > c for b, c in zip(born, born[1:])):
-        raise ConstructionError("birth stages must not decrease in id order")
     schedule, keys = _schedule_from_doc(doc["schedule"], final.signature)
     if len(schedule) < n:
         raise ConstructionError(f"{n} stages need {n} schedule entries, got {len(schedule)}")
@@ -526,13 +543,14 @@ def chain_from_doc(doc: dict) -> StageChain:
     order: list[tuple[tuple[str, int, int], int]] = []  # (turn key, index), sorted
     frontier: dict[int, tuple[int, ...]] = {}
     idle: list[Optional[EntryAudit]] = [None] * n  # per entry, shared by its idle turns
-    watermark = max((e for e, b in zip(final.universe, born) if b == 0), default=-1)
+    M0 = build_m0(plugin)
+    watermark, born = M0.max_id, [0] * M0.size()
     audits = []
     for stage, lists in enumerate(stages, 1):
         if not isinstance(lists, list) or len(lists) != stage:
             raise ConstructionError(f"stage {stage} needs a list of {stage} record lists")
         insort(order, (_turn(schedule[stage - 1]), stage - 1))
-        entries = []
+        start, entries = watermark, []
         for (_, i), recs in zip(order, lists):
             if not isinstance(recs, list):
                 raise ConstructionError(f"stage {stage} has a record list that is not a list")
@@ -568,7 +586,14 @@ def chain_from_doc(doc: dict) -> StageChain:
             entries.append(
                 EntryAudit(entry.position, entry.level, v_before, skipped, internal, tuple(records))
             )
+        born += [stage] * (watermark - start)
         audits.append(StageAudit(stage, tuple(entries)))
+    made = (*M0.universe, *range(M0.max_id + 1, watermark + 1))
+    if final.universe[: len(made)] != made or final.size() != len(made) + embedded:
+        raise ConstructionError(
+            f"final's ids are not M0's, the records' new ones and {embedded} embedded ones"
+        )
+    born += [n] * embedded
     chain = StageChain(name, schedule, final, tuple(born), tuple(audits))
     moved = check_level_freeze(chain)
     if moved:

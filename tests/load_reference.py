@@ -3,9 +3,11 @@ per-entry work left the stage loop.
 
 It parses every schedule text, re-sorts the first i entries by
 (LevelOrdinal, position) at every stage, and reads V_alpha of final and the
-entry's rendered key at every turn. The checks, their order and their
-messages are the loader's own, so on any document both loaders must return
-equal chains or raise the same exception with the same message.
+entry's rendered key at every turn. It stamps each made id's birth stage in
+a dict as the records make it, where the loader extends a list once per
+stage. The checks, their order and their messages are the loader's own, so
+on any document both loaders must return equal chains or raise the same
+exception with the same message.
 """
 
 from bisect import bisect_right
@@ -18,6 +20,7 @@ from levelsat.construction import (
     StageChain,
     _record_from_doc,
     _skipped,
+    build_m0,
     check_level_freeze,
 )
 from levelsat.formula import ScheduleEntry, parse, parse_level
@@ -35,9 +38,10 @@ def reference_chain_from_doc(doc):
     fmt = doc.get("format")
     if type(fmt) is not int or fmt != CHAIN_FORMAT:
         raise ConstructionError(f"need chain format {CHAIN_FORMAT}, got {fmt!r}")
-    missing = {"plugin", "schedule", "final", "born", "records"} - doc.keys()
-    if missing:
-        raise ConstructionError(f"missing keys {sorted(missing)}")
+    wanted = {"format", "plugin", "schedule", "final", "records", "embedded"}
+    missing, extra = wanted - doc.keys(), doc.keys() - wanted
+    if missing or extra:
+        raise ConstructionError(f"missing keys {sorted(missing)}, extra keys {sorted(extra)}")
     name = doc["plugin"]
     plugin = PLUGINS.get(name) if isinstance(name, str) else None
     if plugin is None:
@@ -45,22 +49,20 @@ def reference_chain_from_doc(doc):
     final = FinStructure.from_doc(doc["final"])
     if final.signature != plugin.signature:
         raise ConstructionError(f"the final signature is not {plugin.name}'s")
-    born, stages = doc["born"], doc["records"]
+    stages, embedded = doc["records"], doc["embedded"]
     if not isinstance(stages, list):
         raise ConstructionError("records must be a list with one list per stage")
+    if type(embedded) is not int or embedded < 0:
+        raise ConstructionError(f"embedded must be a nonnegative integer, got {embedded!r}")
     n = len(stages)
-    if not isinstance(born, list) or len(born) != final.size():
-        raise ConstructionError(f"need one birth stage per element, {final.size()} in all")
-    if not all(type(b) is int and 0 <= b <= n for b in born):
-        raise ConstructionError(f"birth stages must be integers in [0, {n}]")
-    if any(b > c for b, c in zip(born, born[1:])):
-        raise ConstructionError("birth stages must not decrease in id order")
     schedule = tuple(_entry_from_doc(d, final.signature) for d in doc["schedule"])
     if len(schedule) < n:
         raise ConstructionError(f"{n} stages need {n} schedule entries, got {len(schedule)}")
     keys = [e.key() for e in schedule]
     frontier = {}
-    watermark = max((e for e, b in zip(final.universe, born) if b == 0), default=-1)
+    M0 = build_m0(plugin)
+    stamp = dict.fromkeys(M0.universe, 0)  # each made id's stage
+    watermark = M0.max_id
     audits = []
     for stage, lists in enumerate(stages, 1):
         if not isinstance(lists, list) or len(lists) != stage:
@@ -89,13 +91,20 @@ def reference_chain_from_doc(doc):
                     )
                 records.append(rec)
                 watermark += len(rec.new_ids)
+                stamp.update(dict.fromkeys(rec.new_ids, stage))
             frontier[keys[i]] = v_before
             internal = len(v_before) ** k - skipped - len(records)
             entries.append(
                 EntryAudit(entry.position, entry.level, v_before, skipped, internal, tuple(records))
             )
         audits.append(StageAudit(stage, tuple(entries)))
-    chain = StageChain(name, schedule, final, tuple(born), tuple(audits))
+    made = tuple(sorted(stamp))
+    if final.universe[: len(made)] != made or final.size() - len(made) != embedded:
+        raise ConstructionError(
+            f"final's ids are not M0's, the records' new ones and {embedded} embedded ones"
+        )
+    born = tuple(stamp.get(e, n) for e in final.universe)  # embedded: the last stage
+    chain = StageChain(name, schedule, final, born, tuple(audits))
     moved = check_level_freeze(chain)
     if moved:
         stage, e, expected, actual = moved[0]

@@ -272,7 +272,6 @@ def test_missing_chain_file(tmp_path):
 
 def _old_format(doc):
     doc["stages"] = [doc.pop("final")]
-    del doc["born"]
     return doc
 
 
@@ -322,17 +321,16 @@ def _format_3(doc):
     return {**doc, "format": 3}
 
 
-def _swap_born(doc):
-    doc["born"][0], doc["born"][1] = doc["born"][1], doc["born"][0]
-    return doc
-
-
-def _late_orphan(doc):
-    """An element no record made, past the largest id, born at stage 1."""
-    doc["final"]["elements"].append([MAX_ID + 1, "omega+5"])
-    doc["final"]["facts"]["E"].append([MAX_ID + 1, MAX_ID + 1])
-    doc["born"].append(1)
-    return doc
+def _append(count, embedded=0):
+    """count elements past the largest id, at omega+5 with their E loops,
+    and the file's count of embedded ids."""
+    def edit(doc):
+        for e in range(MAX_ID + 1, MAX_ID + 1 + count):
+            doc["final"]["elements"].append([e, "omega+5"])
+            doc["final"]["facts"]["E"].append([e, e])
+        doc["embedded"] = embedded
+        return doc
+    return edit
 
 
 def _swap_records(doc):
@@ -349,13 +347,6 @@ def _extra_relation(doc):
     return doc
 
 
-def _set_born(i, value):
-    def edit(doc):
-        doc["born"][i] = value
-        return doc
-    return edit
-
-
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -363,19 +354,21 @@ def _set_born(i, value):
         lambda doc: "chain",
         _old_format,
         lambda doc: {**_old_format(doc), "stages": []},
-        lambda doc: {**doc, "born": doc["born"][:-1]},
-        lambda doc: {**doc, "born": doc["born"] + [0]},
-        lambda doc: {**doc, "born": 0},
-        _set_born(-1, 31),
-        _set_born(0, -1),
-        _set_born(0, "0"),
-        _set_born(0, 1.0),
-        _set_born(0, True),
-        _set_born(0, None),
+        lambda doc: {k: v for k, v in doc.items() if k != "embedded"},
+        lambda doc: {**doc, "born": [0] * (MAX_ID + 1)},
+        lambda doc: {**doc, "embedded": 1},
+        _append(2, 1),
+        lambda doc: {**doc, "embedded": [0]},
+        lambda doc: {**doc, "embedded": -1},
+        lambda doc: {**doc, "embedded": "0"},
+        lambda doc: {**doc, "embedded": 0.0},
+        lambda doc: {**doc, "embedded": False},
+        lambda doc: {**doc, "embedded": None},
         lambda doc: {k: v for k, v in doc.items() if k != "format"},
         lambda doc: {**doc, "format": 1},
         lambda doc: {**doc, "format": 2},
         _format_3,
+        lambda doc: {**doc, "format": 4},
         _set_stage(0, [[CASE3, CASE3]]),
         _set_at(R3, W, [MAX_ID + 1]),
         _set_at(S0, "position", "0"),
@@ -401,23 +394,22 @@ def _set_born(i, value):
         _set_at(R0, W, [1, 0]),
         _set_at(R0, W, []),
         _set_record(R0, CASE3),
-        _swap_born,
-        _late_orphan,
+        _append(1),
         _set_at(R0, A, [MAX_ID]),
         _set_at(R0, A, [0, 0]),
         _set_at(R11, A, [0]),
         _swap_records,
         _set_at(("final", "elements", 2), 1, "fin3"),
-        _set_born(2, 3),
         lambda doc: {**doc, "plugin": "zfc"},
         lambda doc: {**doc, "plugin": "random_graph"},
         _extra_relation,
     ],
     ids=[
-        "list", "string", "old-format", "old-format-no-stages", "born-short",
-        "born-long", "born-not-list", "born-past-n", "born-negative",
-        "born-text", "born-float", "born-bool", "born-null",
-        "format-absent", "format-1", "format-2", "format-3", "internal-negative",
+        "list", "string", "old-format", "old-format-no-stages", "key-missing",
+        "key-extra", "embedded-too-large", "embedded-too-small", "embedded-list",
+        "embedded-negative", "embedded-text", "embedded-float", "embedded-bool",
+        "embedded-null", "format-absent", "format-1", "format-2", "format-3",
+        "format-4", "internal-negative",
         "new-id-dangling", "position-text", "position-bool", "level-number",
         "formula-list", "x-vars-text", "y-vars-numbers", "schedule-short",
         "records-not-list", "stage-missing-list", "stage-extra-list",
@@ -425,9 +417,9 @@ def _set_born(i, value):
         "record-three-items", "record-object", "a-null", "a-dangling",
         "witness-dangling", "new-ids-skip", "witness-too-long", "witness-too-short",
         "case3-orphans-its-element",
-        "born-decreasing", "born-decreasing-orphan", "a-outside-v-before",
+        "orphan-at-the-end", "a-outside-v-before",
         "a-wrong-length", "a-in-covered-prefix", "records-out-of-order",
-        "new-ids-frozen-level", "new-ids-wrong-stage", "plugin-unknown",
+        "new-ids-frozen-level", "plugin-unknown",
         "plugin-other-signature", "signature-extra-relation",
     ],
 )
@@ -661,6 +653,30 @@ def _name_experiments(*names):
     return edit
 
 
+def _rename_key(where, old, new):
+    def edit(doc):
+        target = doc
+        for step in where:
+            target = target[step]
+        target[new] = target.pop(old)
+    return edit
+
+
+def _second_comparison(y0):
+    """A second comparison, after the good one, whose set binds y0 to y0."""
+    def edit(doc):
+        doc["sets"]["late"] = {"formula": "E(x0, y0)", "params": {"y0": y0}}
+        doc["comparisons"].append(["late", "ambient"])
+    return edit
+
+
+def _second_experiment(b):
+    """A second experiment, after the good one, with the base instance b."""
+    def edit(doc):
+        doc["dividing"].append({**doc["dividing"][0], "name": "late", "b": b})
+    return edit
+
+
 SPLIT_ERROR = "split must be a list of distinct variables, none a parameter"
 NAME_ERROR = "must be a plain file name"
 CSV_ERROR = "would share class_drop."
@@ -688,6 +704,11 @@ CSV_ERROR = "would share class_drop."
         ("dim", _set_plugin(["random_graph"]), "unknown plugin ['random_graph']"),
         ("dim", _set_comparison(["class_of_b", ["ambient"]]), "unknown set ['ambient']"),
         ("divide", _set_psi(["ambient"]), "unknown psi set ['ambient']"),
+        ("dim", _rename_key(("sets", "ambient"), "cap", "caps"), "set 'ambient': unknown key 'caps'"),
+        ("dim", _set_at((), "comparater", {"window": 3}), "config: unknown key 'comparater'"),
+        ("divide", _set_at(("dividing", 0), "kk", 5), "dividing 'class_drop': unknown key 'kk'"),
+        ("dim", _second_comparison(9999), "element id 9999 not in the structure"),
+        ("divide", _second_experiment(["first_at_level fin1"] * 2), "phi has 1 instance slots, got 2 ids"),
     ],
     ids=[
         "split-number-dim", "split-number-divide", "split-text", "split-repeated",
@@ -695,7 +716,8 @@ CSV_ERROR = "would share class_drop."
         "set-name-nul", "set-name-number", "experiment-name-escapes",
         "experiment-name-dot", "experiment-name-number", "experiment-names-repeated",
         "set-name-psi-csv", "set-name-phi-csv", "plugin-list", "comparison-side-list",
-        "psi-list",
+        "psi-list", "set-key-unknown", "config-key-unknown", "experiment-key-unknown",
+        "second-comparison-bad-id", "second-experiment-b-too-long",
     ],
 )
 def test_bad_set_or_experiment_exits_before_any_output(
@@ -704,7 +726,9 @@ def test_bad_set_or_experiment_exits_before_any_output(
     """Set and experiment names become output file names, so they must be
     plain, unique ones, and no set's CSV may be an experiment's; a set's
     split names distinct non-parameter variables. A plugin, comparison side
-    or psi that is not text names nothing."""
+    or psi that is not text names nothing. A key the config grammar does not
+    have is refused, not dropped. A comparison or experiment that fails
+    after a good one leaves no output of the good one behind."""
     out, _ = equiv_build
     doc = yaml.safe_load((CONFIGS / "equivalence_drop.yaml").read_text())
     edit(doc)

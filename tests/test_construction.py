@@ -9,6 +9,7 @@ import pytest
 
 from levelsat.construction import (
     CaseRecord,
+    ConstructionError,
     EntryAudit,
     InternalFaultError,
     StageAudit,
@@ -360,13 +361,43 @@ def test_chain_serialization_round_trip(chains12):
     assert serialize_chain(back) == text
 
 
-@pytest.mark.parametrize("fixture", ["equiv30", "iset30", "rado30"])
+@pytest.mark.parametrize("fixture", ["equiv30", "iset30", "rado30", "equiv60"])
 def test_30_stage_chain_round_trip(request, fixture):
-    """The audits derived on load equal the ones the build kept, over
-    enough stages for entries to take many turns."""
+    """The audits and birth stamps derived on load equal the ones the build
+    kept, over enough stages for entries to take many turns."""
     chain = request.getfixturevalue(fixture)
     back = load_chain(serialize_chain(chain))
     assert back.born == chain.born and back.audits == chain.audits
+    assert back.final == chain.final
+
+
+def test_a_chain_file_keeps_no_birth_stamps(equiv30):
+    doc = chain_to_doc(equiv30)
+    assert doc.keys() == {"format", "plugin", "schedule", "final", "records", "embedded"}
+    assert doc["format"] == 5 and doc["embedded"] == 0
+
+
+def test_final_ids_must_begin_with_m0s():
+    """A 0-stage chain whose one element is not M0's element 0, counted as
+    embedded: no record names an id, so only the final ids show it."""
+    doc = chain_to_doc(build_chain(EQUIV, 0))
+    doc["final"]["elements"] = [[1, "fin0"]]
+    doc["final"]["facts"]["E"] = [[1, 1]]
+    doc["embedded"] = 1
+    got = _load_outcome(chain_from_doc, doc)
+    assert got == (ConstructionError, "final's ids are not M0's, the records' new ones and 1 embedded ones")
+    assert got == _load_outcome(reference_chain_from_doc, doc)
+
+
+def test_embedded_ids_load_born_at_the_last_stage(equiv30):
+    """An element past the records' new ids loads when embedded counts it,
+    and is born at the last stage, as embed_model stamps it."""
+    doc = test_cli._append(1, 1)(chain_to_doc(equiv30))
+    chain = chain_from_doc(doc)
+    assert chain == reference_chain_from_doc(doc)
+    assert chain.born == equiv30.born + (30,)
+    assert chain.audits == equiv30.audits
+    assert chain_to_doc(chain) == doc
 
 
 # -- the loader against its per-turn reference ----------------------------------------
@@ -535,6 +566,7 @@ def test_stage_view_matches_stage_by_stage_build(chains12, name):
     assert grown.stages[12] == grown.final
     back = load_chain(serialize_chain(grown))
     assert back.born == grown.born and back.audits == grown.audits
+    assert back.final == grown.final
 
 
 def test_new_ids_follow_each_record_not_each_entry():
@@ -543,7 +575,7 @@ def test_new_ids_follow_each_record_not_each_entry():
     alone, because the watermark moves past each record's new ids."""
     pair = "!(y0 = x0) & !(y1 = x0) & !(y0 = y1)"
     doc = {
-        "format": 4,
+        "format": 5,
         "plugin": "infinite_set",
         "schedule": [
             {"position": 0, "formula": "!(y0 = x0)", "x_vars": ["x0"], "y_vars": ["y0"],
@@ -556,10 +588,11 @@ def test_new_ids_follow_each_record_not_each_entry():
             "elements": [[0, "fin0"], [1, "fin1"], [2, "fin2"], [3, "fin2"]],
             "facts": {},
         },
-        "born": [0, 1, 2, 2],
         "records": [[[[[0], [1]]]], [[], [[[0], [1, 2]], [[1], [2, 3]]]]],
+        "embedded": 0,
     }
     chain = chain_from_doc(doc)
+    assert chain.born == (0, 1, 2, 2)
     stage1, stage2 = chain.audits
     assert stage1.entries[0].records == (CaseRecord((0,), (1,), (1,)),)
     assert stage2.entries[1].v_before == (0, 1)
@@ -698,6 +731,16 @@ def test_embed_single_element(chains12):
     mapping, chain2 = hit
     img = mapping[0]
     assert chain2.final.level_of(img) <= fin(1)
+
+
+def test_an_embedding_into_a_zero_stage_chain_round_trips():
+    """With no stage past M0, the embedded ids are born at stage 0."""
+    A = FinStructure(ISET.signature, ((0, fin(0)), (1, fin(0))), ())
+    _, grown = embed_model(ISET, A, build_chain(ISET, 0))
+    assert grown.born == (0, 0)
+    doc = chain_to_doc(grown)
+    assert doc["embedded"] == 1
+    assert chain_from_doc(doc) == grown == reference_chain_from_doc(doc)
 
 
 def test_embed_edge_into_random_graph_chain(chains12):
