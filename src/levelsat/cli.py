@@ -25,7 +25,6 @@ import argparse
 import math
 import os
 import sys
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -301,7 +300,7 @@ def _audit_text(chain: StageChain) -> str:
             cases = [rec.case for rec in ea.records]
             lines.append(
                 f"stage {audit.stage} pos {ea.position} level {ea.level.render()} "
-                f"|V|={len(ea.v_before)} skipped={ea.skipped} "
+                f"|V|={ea.v_size} skipped={ea.skipped} "
                 f"internal={ea.internal} oracle={cases.count(2)} unrealizable={cases.count(3)}"
             )
     return "\n".join(lines) + "\n"
@@ -526,9 +525,7 @@ def cmd_export(chain: StageChain, stem: str, out_dir: Path) -> int:
     _write(out_dir / f"{stem}.final.json", final.to_json() + "\n")
     rows = ["stage,size,levels"]
     for n in range(chain.n_stages + 1):
-        # stage n holds the elements born by n: a prefix, as stamps derived
-        # from the records never decrease in id order
-        ids = final.universe[: bisect_right(chain.born, n)]
+        ids = final.universe[: chain.ends[n]]
         rows.append(f"{n},{len(ids)},{_level_histogram(final, ids)}")
     _write(out_dir / f"{stem}.stages.csv", "\n".join(rows) + "\n")
     return 0

@@ -26,13 +26,15 @@ witnesses at level alpha+1 can never land inside any V_beta with beta <=
 alpha, so the V_alpha sets only grow by earlier-level processing. That is
 also why the per-entry frontier cache is sound: a parameter tuple processed
 once never needs reprocessing, because quantifier-free truth over old
-elements is permanent and case-3 answers are final. New ids come last, so
-the V_alpha an entry's previous turn saw is a prefix of today's. A stage
-grows one thawed copy of the previous structure in place, so a case-2 step
-costs the same at any |M|. A chain file keeps of each audit only the case-2
-and case-3 records, each an [a, witness] pair (witness null for case 3), and
-of the birth stamps only the count of ids embed_model added after the last
-record. Loading derives the rest of each audit and every birth stamp from
+elements is permanent and case-3 answers are final. Ids are handed out in
+order from 0, so every stage is a prefix of final's ids and every V_alpha an
+entry saw is a prefix of final's V_alpha: a chain keeps where each stage
+ends and an audit keeps |V_alpha|, never the ids themselves. A stage grows
+one thawed copy of the previous structure in place, so a case-2 step costs
+the same at any |M|. A chain file keeps of each audit only the case-2 and
+case-3 records, each an [a, witness] pair (witness null for case 3), and of
+the stage ends only the count of ids embed_model added after the last
+record. Loading derives the rest of each audit and every stage end from
 final and the records: stage 0 is build_m0's, and every later element is a
 new id of one record or an embedded one. It does once per schedule entry
 what does not depend on the turn: the parse of its formula text, V_alpha of
@@ -90,7 +92,7 @@ class CaseRecord:
 class EntryAudit:
     position: int
     level: LevelOrdinal
-    v_before: tuple[int, ...]
+    v_size: int  # |V_alpha| at the turn's start: it saw final.v_ids(level)[:v_size]
     skipped: int
     internal: int  # case-1 tuples; case 2 and 3 each leave a record
     records: tuple[CaseRecord, ...]
@@ -104,49 +106,41 @@ class StageAudit:
 
 @dataclass(frozen=True)
 class StageChain:
-    """The final structure plus born[j], the stage at which final.universe[j]
-    entered; audits[i] describes the work of stage i+1. A build stamps ids
-    as it makes them, and a load derives the stamps from the records (see
-    chain_from_doc); either way they never decrease in id order. Stage s is
-    final cut to the ids born by s, so stage_of(ids) is the first stage
-    holding ids.
-    stages[i] replays M_i from the stamps: M_0 holds the elements born at
-    stage 0 and the facts among them, and M_{i+1} adds the elements born at
-    stage i+1 and the facts whose stage_of is i+1. The replay is exact
-    because no delta adds a fact among old elements only and levels are
-    frozen. stages[n] is final itself."""
+    """The final structure, whose ids are 0..|M|-1 in the order they were
+    made, plus ends[s], the number of ids stage s holds; audits[i] describes
+    the work of stage i+1. Stage s is final cut to the ids below ends[s], so
+    stage_of(ids) is the first stage holding ids.
+    stages[i] replays M_i from the ends: M_0 holds the ids below ends[0] and
+    the facts among them, and M_{i+1} adds the ids from ends[i] to ends[i+1]
+    and the facts whose stage_of is i+1. The replay is exact because no
+    delta adds a fact among old elements only and levels are frozen.
+    stages[n] is final itself."""
 
     plugin_name: str
     schedule: tuple[ScheduleEntry, ...]
     final: FinStructure
-    born: tuple[int, ...]
+    ends: tuple[int, ...]
     audits: tuple[StageAudit, ...]
 
     @property
     def n_stages(self) -> int:
         return len(self.audits)
 
-    @cached_property
-    def born_at(self) -> dict[int, int]:
-        return dict(zip(self.final.universe, self.born))
-
     def stage_of(self, ids: Iterable[int]) -> int:
-        """The latest birth stamp among ids, 0 for none."""
-        return max((self.born_at[e] for e in ids), default=0)
+        """The first stage holding every id of ids, 0 for none."""
+        return bisect_right(self.ends, max(ids, default=-1))
 
     @cached_property
     def stages(self) -> tuple[FinStructure, ...]:
-        M, born_at, n = self.final, self.born_at, self.n_stages
-        elements: list[list] = [[] for _ in range(n + 1)]
-        facts: list[list] = [[] for _ in range(n + 1)]
-        for e in M.universe:
-            elements[born_at[e]].append((e, M.level_of(e)))
+        M, ends = self.final, self.ends
+        facts: list[list] = [[] for _ in ends]
         for rel in M.signature.names():
             for t in M.facts(rel):
                 facts[self.stage_of(t)].append((rel, t))
         stages, M_i = [], FinStructure(M.signature, (), ())
-        for i in range(n):
-            M_i = apply_delta(M_i, ExtensionDelta(tuple(elements[i]), tuple(facts[i])))
+        for lo, hi, new in zip((0, *ends), ends[:-1], facts):
+            elements = tuple((e, M.level_of(e)) for e in M.universe[lo:hi])
+            M_i = apply_delta(M_i, ExtensionDelta(elements, tuple(new)))
             stages.append(M_i)
         return (*stages, M)
 
@@ -183,7 +177,7 @@ def build_stage(
     frontier: dict,
 ) -> tuple[FinStructure, StageAudit]:
     """Process the given schedule entries in turn order against prev.
-    frontier maps an entry key to the V_alpha its previous turn saw; it is
+    frontier maps an entry key to |V_alpha| at its previous turn; it is
     updated in place. Returns the new structure and the stage audit. prev
     is not changed: the stage grows one thawed copy of it in place, one
     delta at a time, and freezes it at the end. Each turn asks case 1 of
@@ -198,7 +192,7 @@ def build_stage(
         seen = frontier.get(key)
         k = len(entry.x_vars)
         skipped = _skipped(seen, k)
-        todo = itertools.product(v_now, repeat=k) if seen is None else _touching(v_now, len(seen), k)
+        todo = itertools.product(v_now, repeat=k) if seen is None else _touching(v_now, seen, k)
         internal, records = 0, []
         has_witness = witnessed(M, entry.formula, entry.x_vars, entry.y_vars, succ)
         for a_bar in todo:
@@ -228,8 +222,8 @@ def build_stage(
             records.append(
                 CaseRecord(a_bar, ext.witness, tuple(e for e, _ in ext.delta.new_elements))
             )
-        frontier[key] = v_now
-        audits.append(EntryAudit(entry.position, alpha, v_now, skipped, internal, tuple(records)))
+        v_size = frontier[key] = len(v_now)
+        audits.append(EntryAudit(entry.position, alpha, v_size, skipped, internal, tuple(records)))
     return M._freeze(), StageAudit(stage, tuple(audits))
 
 
@@ -240,11 +234,11 @@ def _turn(entry: ScheduleEntry) -> tuple[str, int, int]:
     return entry.level.tag, entry.level.index, entry.position
 
 
-def _skipped(seen: Optional[tuple[int, ...]], k: int) -> int:
-    """The skip rule: the k-tuples over the V_alpha an entry's previous turn
-    saw (None before its first turn) were processed then. New ids come last,
-    so that V_alpha is a prefix of today's."""
-    return 0 if seen is None else len(seen) ** k
+def _skipped(seen: Optional[int], k: int) -> int:
+    """The skip rule: the k-tuples over the V_alpha of size seen that an
+    entry's previous turn saw (None before its first turn) were processed
+    then. New ids come last, so that V_alpha is a prefix of today's."""
+    return 0 if seen is None else seen**k
 
 
 def _touching(ids: tuple[int, ...], p: int, k: int) -> Iterable[tuple[int, ...]]:
@@ -280,15 +274,14 @@ def build_chain(
     if len(schedule) < n_stages:
         raise ConstructionError(f"schedule has {len(schedule)} entries, need {n_stages}")
     M = build_m0(plugin)
-    born = [0] * M.size()
-    audits = []
+    ends, audits = [M.size()], []
     frontier: dict = {}
     for n in range(1, n_stages + 1):
         M, audit = build_stage(plugin, M, schedule[:n], n, frontier)
         # the oracle hands out ids past the largest, so stage n's come last
-        born += [n] * (M.size() - len(born))
+        ends.append(M.size())
         audits.append(audit)
-    return StageChain(plugin.name, tuple(schedule), M, tuple(born), tuple(audits))
+    return StageChain(plugin.name, tuple(schedule), M, tuple(ends), tuple(audits))
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +366,13 @@ def check_level_freeze(chain: StageChain) -> list[tuple[int, int, str, str]]:
     build_chain makes it, since a new element enters at alpha+1 and levels
     never move afterwards."""
     out = []
-    M, born_at = chain.final, chain.born_at
+    M, ends = chain.final, chain.ends
     for audit in chain.audits:
         for ea in audit.entries:
             for rec in ea.records:
                 for e in rec.new_ids:
                     expected = (ea.level.successor(), audit.stage)
-                    actual = (M.level_of(e), born_at[e]) if e in M else None
+                    actual = (M.level_of(e), bisect_right(ends, e)) if e in M else None
                     if actual != expected:
                         shown = _at(*actual) if actual else "absent"
                         out.append((audit.stage, e, _at(*expected), shown))
@@ -400,7 +393,7 @@ def embed_model(
     """Embed the finite structure A into the chain's final stage, the image
     of A's i-th element landing inside V_{fin(i+1)}. Existing elements are
     preferred; otherwise the final stage is extended by one oracle witness
-    carrying the full atomic diagram, its new elements born at the last
+    carrying the full atomic diagram, its new elements held by the last
     stage. Returns (mapping, chain with the final stage possibly extended),
     or None when the theory refuses some step."""
     if A.signature != plugin.signature:
@@ -433,8 +426,7 @@ def embed_model(
         want = diag_key(A, tuple(sources[: i + 1]))
         if got != want:
             raise InternalFaultError("embedding image has the wrong atomic diagram")
-    born = tuple(chain.born_at.get(e, chain.n_stages) for e in M.universe)
-    return mapping, replace(chain, final=M, born=born)
+    return mapping, replace(chain, final=M, ends=(*chain.ends[:-1], M.size()))
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +438,9 @@ _CHAIN_KEYS = frozenset(("format", "plugin", "schedule", "final", "records", "em
 
 
 def chain_to_doc(chain: StageChain) -> dict:
-    """The chain file's document. Of the birth stamps it keeps only
-    embedded, the number of ids past M0's and the records' new ids: those
-    embed_model added after the last record. The loader derives the rest."""
+    """The chain file's document. Of the stage ends it keeps only embedded,
+    the number of ids past M0's and the records' new ids: those embed_model
+    added after the last record. The loader derives the rest."""
     made = build_m0(get_plugin(chain.plugin_name)).size() + sum(
         len(r.new_ids) for a in chain.audits for ea in a.entries for r in ea.records
     )
@@ -490,31 +482,31 @@ def chain_from_doc(doc: dict) -> StageChain:
     a record's new ids are its witness ids past a watermark: the largest id
     that M0 (build_m0, as the build makes stage 0) or an earlier record
     created. An entry saw final cut down to the ids up to the watermark at
-    its turn's start. Its v_before is V_alpha of that cut, skipped follows
+    its turn's start. Its v_size is |V_alpha| of that cut, skipped follows
     by the skip rule, and internal is what the skips and records leave of
-    |v_before|^k.
+    v_size^k.
 
-    The birth stamps follow from the same walk: 0 for M0's ids, the
-    record's stage for its new ids, and the last stage for the embedded ids
-    past the last record, which embed_model adds. They never decrease in id
-    order, so stage s is a prefix of final's ids.
+    The stage ends follow from the same walk: stage s ends past the
+    watermark at its close, and the last stage also holds the embedded ids,
+    which embed_model adds past the last record.
 
     What does not depend on the turn is done once per entry: its formula
     (one parse per distinct text), V_alpha of final, an int naming its
     obligation for the frontier, and its turn key _turn, inserted into the
-    turn order at the first stage that holds the entry. A turn whose cut is
-    the one its obligation's previous turn saw shares that v_before tuple,
-    and when it has no records, the entry's audit of such a turn too.
+    turn order at the first stage that holds the entry. The frontier maps
+    an obligation to its previous turn's v_size, and the turns of an entry
+    that see that v_size again and have no records share one audit.
 
     Rejected: a missing or extra key; an embedded count that is not a
-    nonnegative int; an element of final that is not M0's, a record's new
-    id or one of the embedded ids; a record whose parameter tuple its entry
-    did not process, that is not a k-tuple over v_before with a component
-    past the previous turn's prefix, or that breaks the lexicographic order
-    of the entry's records; a witness that is not one id per y variable; a
-    record whose new ids skip an id or that check_level_freeze rejects; and
-    an unknown plugin, or a final structure over another signature than the
-    plugin's."""
+    nonnegative int; final ids that are not 0 to |M| - 1, counting M0's,
+    the records' new ids and the embedded ones; a stage 0 that is not M0,
+    in a level of M0's ids or a tuple over them; a record whose parameter
+    tuple its entry did not process, that is not a k-tuple over that
+    V_alpha with a component past the previous turn's prefix, or that breaks
+    the lexicographic order of the entry's records; a witness that is not
+    one id per y variable; a record whose new ids skip an id or that
+    check_level_freeze rejects; and an unknown plugin, or a final structure
+    over another signature than the plugin's."""
     if not isinstance(doc, dict):
         raise ConstructionError("a chain must be a JSON object")
     fmt = doc.get("format")
@@ -541,30 +533,29 @@ def chain_from_doc(doc: dict) -> StageChain:
         raise ConstructionError(f"{n} stages need {n} schedule entries, got {len(schedule)}")
     vids = [final.v_ids(e.level) for e in schedule[:n]]
     order: list[tuple[tuple[str, int, int], int]] = []  # (turn key, index), sorted
-    frontier: dict[int, tuple[int, ...]] = {}
+    frontier: dict[int, int] = {}
     idle: list[Optional[EntryAudit]] = [None] * n  # per entry, shared by its idle turns
     M0 = build_m0(plugin)
-    watermark, born = M0.max_id, [0] * M0.size()
+    watermark, ends = M0.max_id, [M0.size()]
     audits = []
     for stage, lists in enumerate(stages, 1):
         if not isinstance(lists, list) or len(lists) != stage:
             raise ConstructionError(f"stage {stage} needs a list of {stage} record lists")
         insort(order, (_turn(schedule[stage - 1]), stage - 1))
-        start, entries = watermark, []
+        entries = []
         for (_, i), recs in zip(order, lists):
             if not isinstance(recs, list):
                 raise ConstructionError(f"stage {stage} has a record list that is not a list")
             entry, top = schedule[i], watermark
             k, p = len(entry.x_vars), bisect_right(vids[i], top)
             seen = frontier.get(keys[i])
-            v_before = seen if seen is not None and len(seen) == p else vids[i][:p]
-            if v_before is seen and not recs:
+            if seen == p and not recs:
                 # the cut its obligation saw last turn: all skipped, nothing new
-                if idle[i] is None or idle[i].v_before is not v_before:
-                    idle[i] = EntryAudit(entry.position, entry.level, v_before, p**k, 0, ())
+                if idle[i] is None or idle[i].v_size != p:
+                    idle[i] = EntryAudit(entry.position, entry.level, p, p**k, 0, ())
                 entries.append(idle[i])
                 continue
-            skipped, floor, records = _skipped(seen, k), (seen[-1] if seen else -1), []
+            skipped, floor, records = _skipped(seen, k), (vids[i][seen - 1] if seen else -1), []
             for r in recs:
                 rec = _record_from_doc(r, final, watermark, len(entry.y_vars))
                 a = rec.a_tuple
@@ -580,21 +571,28 @@ def chain_from_doc(doc: dict) -> StageChain:
                     )
                 records.append(rec)
                 watermark += len(rec.new_ids)
-            frontier[keys[i]] = v_before
+            frontier[keys[i]] = p
             # distinct processed tuples: never more than the tuples left
             internal = p**k - skipped - len(records)
             entries.append(
-                EntryAudit(entry.position, entry.level, v_before, skipped, internal, tuple(records))
+                EntryAudit(entry.position, entry.level, p, skipped, internal, tuple(records))
             )
-        born += [stage] * (watermark - start)
+        ends.append(watermark + 1)
         audits.append(StageAudit(stage, tuple(entries)))
-    made = (*M0.universe, *range(M0.max_id + 1, watermark + 1))
-    if final.universe[: len(made)] != made or final.size() != len(made) + embedded:
+    ends[-1] += embedded
+    # ids are distinct, ascending and nonnegative: 0..|M|-1 when the largest is |M| - 1
+    if final.size() != ends[-1] or final.max_id + 1 != ends[-1]:
         raise ConstructionError(
             f"final's ids are not M0's, the records' new ones and {embedded} embedded ones"
         )
-    born += [n] * embedded
-    chain = StageChain(name, schedule, final, tuple(born), tuple(audits))
+    ids = M0.universe
+    if any(final.level_of(e) != M0.level_of(e) for e in ids) or any(
+        final.has_fact(rel, t) != M0.has_fact(rel, t)
+        for rel, ar in M0.signature.relations
+        for t in itertools.product(ids, repeat=ar)
+    ):
+        raise ConstructionError(f"stage 0 is not {name}'s M0")
+    chain = StageChain(name, schedule, final, tuple(ends), tuple(audits))
     moved = check_level_freeze(chain)
     if moved:
         stage, e, expected, actual = moved[0]

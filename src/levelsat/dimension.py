@@ -54,7 +54,7 @@ class DimTrend:
 
 def stage_solutions(chain, dset: DefinableSet, start: int) -> Iterator[set]:
     """dset's solutions at each stage from start, which must hold every
-    parameter, to the last. Stage s is final cut to the ids born by s, so a
+    parameter, to the last. Stage s is final cut to the ids it holds, so a
     quantifier-free set is searched once in chain.final and each solution
     counts from chain.stage_of(its ids and the parameters) on. A set with a
     quantifier is searched in each of chain.stages, since its quantifiers
@@ -63,11 +63,11 @@ def stage_solutions(chain, dset: DefinableSet, start: int) -> Iterator[set]:
         yield from (set(solutions(M, dset)) for M in chain.stages[start:])
         return
     params = tuple(e for _, e in dset.params)
-    born: list[list] = [[] for _ in range(chain.n_stages + 1)]
+    arrived: list[list] = [[] for _ in range(chain.n_stages + 1)]
     for sol in solutions(chain.final, dset):
-        born[chain.stage_of(sol + params)].append(sol)
+        arrived[chain.stage_of(sol + params)].append(sol)
     sols: set = set()
-    for stage, new in enumerate(born):
+    for stage, new in enumerate(arrived):
         sols.update(new)
         if stage >= start:
             yield sols
@@ -79,7 +79,7 @@ def trend(chain, dset: DefinableSet, label: Optional[str] = None) -> DimTrend:
     quantifier-free set or an exists over a quantifier-free body; a negated
     exists can lose solutions as witnesses arrive."""
     needed = [eid for _, eid in dset.params]
-    if not all(e in chain.born_at for e in needed):
+    if not all(e in chain.final for e in needed):
         raise ValueError("trend parameters never appear in the chain")
     start = chain.stage_of(needed)
     counts = tuple(map(len, stage_solutions(chain, dset, start)))
@@ -273,7 +273,7 @@ def quasi_axiom_report(
     |sets[0]| <= max_z |fiber over z| * |Z| per stage, where the fiber over a
     Z-solution z is the part of sets[0] related to z by f. Each stage is
     searched in chain.stages, so the zero-marker check holds every trend,
-    stamped or not, against an independent recount."""
+    read from final or not, against an independent recount."""
     if not sets:
         raise ValueError("need at least one set")
     for d in sets[1:]:

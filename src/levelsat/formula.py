@@ -609,7 +609,7 @@ def seeded_schedule(
     Within a block the levels run high to low (omega+1, fin1, omega+0, fin0
     for horizon 4): processing the high level first keeps a seed's fresh
     witnesses, which enter one level up, from feeding that same seed's next
-    entry in the sweep, so classes of witnesses born at distinct levels stay
+    entry in the sweep, so classes of witnesses made at distinct levels stay
     distinguishable. Seeds fire early and at every level eventually, while
     the generic stream keeps the full fairness guarantee on its half of the
     positions.

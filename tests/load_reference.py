@@ -3,11 +3,14 @@ per-entry work left the stage loop.
 
 It parses every schedule text, re-sorts the first i entries by
 (LevelOrdinal, position) at every stage, and reads V_alpha of final and the
-entry's rendered key at every turn. It stamps each made id's birth stage in
-a dict as the records make it, where the loader extends a list once per
-stage. The checks, their order and their messages are the loader's own, so
-on any document both loaders must return equal chains or raise the same
-exception with the same message.
+entry's rendered key at every turn, and its frontier keeps the V_alpha
+tuples themselves. It stamps each made id's stage in a dict as the records
+make it and counts the stage ends from the stamps, where the loader appends
+one end per stage; it checks the final ids against range(|M|) and stage 0
+against the whole fact set of final, where the loader asks the size, the
+largest id and the tuples over M0's ids. The checks, their order and their
+messages are the loader's own, so on any document both loaders must return
+equal chains or raise the same exception with the same message.
 """
 
 from bisect import bisect_right
@@ -19,7 +22,6 @@ from levelsat.construction import (
     StageAudit,
     StageChain,
     _record_from_doc,
-    _skipped,
     build_m0,
     check_level_freeze,
 )
@@ -75,7 +77,8 @@ def reference_chain_from_doc(doc):
             k, vids, top = len(entry.x_vars), final.v_ids(entry.level), watermark
             v_before = vids[: bisect_right(vids, top)]
             seen, records = frontier.get(keys[i]), []
-            skipped, floor = _skipped(seen, k), (seen[-1] if seen else -1)
+            skipped = 0 if seen is None else len(seen) ** k
+            floor = seen[-1] if seen else -1
             for r in recs:
                 rec = _record_from_doc(r, final, watermark, len(entry.y_vars))
                 a = rec.a_tuple
@@ -95,16 +98,29 @@ def reference_chain_from_doc(doc):
             frontier[keys[i]] = v_before
             internal = len(v_before) ** k - skipped - len(records)
             entries.append(
-                EntryAudit(entry.position, entry.level, v_before, skipped, internal, tuple(records))
+                EntryAudit(entry.position, entry.level, len(v_before), skipped, internal, tuple(records))
             )
         audits.append(StageAudit(stage, tuple(entries)))
     made = tuple(sorted(stamp))
-    if final.universe[: len(made)] != made or final.size() - len(made) != embedded:
+    if (
+        final.universe[: len(made)] != made
+        or final.size() - len(made) != embedded
+        or final.universe != tuple(range(final.size()))
+    ):
         raise ConstructionError(
             f"final's ids are not M0's, the records' new ones and {embedded} embedded ones"
         )
-    born = tuple(stamp.get(e, n) for e in final.universe)  # embedded: the last stage
-    chain = StageChain(name, schedule, final, born, tuple(audits))
+    old = set(M0.universe)
+    stage0 = FinStructure(
+        final.signature,
+        tuple((e, final.level_of(e)) for e in M0.universe),
+        tuple((rel, t) for rel in final.signature.names() for t in final.facts(rel) if set(t) <= old),
+    )
+    if stage0 != M0:
+        raise ConstructionError(f"stage 0 is not {name}'s M0")
+    stamps = [stamp.get(e, n) for e in final.universe]  # embedded: the last stage
+    ends = tuple(sum(1 for st in stamps if st <= s) for s in range(n + 1))
+    chain = StageChain(name, schedule, final, ends, tuple(audits))
     moved = check_level_freeze(chain)
     if moved:
         stage, e, expected, actual = moved[0]

@@ -123,7 +123,7 @@ def test_level_freeze(chains12, equiv30, iset30, rado30):
                 for rec in ea.records:
                     assert all(M.level_of(e) == succ for e in rec.new_ids)
             for group in by_level.values():
-                assert all(ea.v_before == group[0].v_before for ea in group)
+                assert all(ea.v_size == group[0].v_size for ea in group)
     return f"{entries} audited entries across {len(chains)} chains, 0 violations"
 
 

@@ -321,11 +321,11 @@ def _format_3(doc):
     return {**doc, "format": 3}
 
 
-def _append(count, embedded=0):
-    """count elements past the largest id, at omega+5 with their E loops,
-    and the file's count of embedded ids."""
+def _append(count, embedded=0, start=MAX_ID + 1):
+    """count elements from id start (past the largest id unless given), at
+    omega+5 with their E loops, and the file's count of embedded ids."""
     def edit(doc):
-        for e in range(MAX_ID + 1, MAX_ID + 1 + count):
+        for e in range(start, start + count):
             doc["final"]["elements"].append([e, "omega+5"])
             doc["final"]["facts"]["E"].append([e, e])
         doc["embedded"] = embedded
@@ -338,6 +338,11 @@ def _swap_records(doc):
     new ids still follow each other."""
     recs = doc["records"][11][8]
     recs[0][A], recs[1][A] = recs[1][A], recs[0][A]
+    return doc
+
+
+def _drop_m0_loop(doc):
+    doc["final"]["facts"]["E"].remove([0, 0])
     return doc
 
 
@@ -358,6 +363,7 @@ def _extra_relation(doc):
         lambda doc: {**doc, "born": [0] * (MAX_ID + 1)},
         lambda doc: {**doc, "embedded": 1},
         _append(2, 1),
+        _append(1, 1, start=500),
         lambda doc: {**doc, "embedded": [0]},
         lambda doc: {**doc, "embedded": -1},
         lambda doc: {**doc, "embedded": "0"},
@@ -400,13 +406,15 @@ def _extra_relation(doc):
         _set_at(R11, A, [0]),
         _swap_records,
         _set_at(("final", "elements", 2), 1, "fin3"),
+        _drop_m0_loop,
         lambda doc: {**doc, "plugin": "zfc"},
         lambda doc: {**doc, "plugin": "random_graph"},
         _extra_relation,
     ],
     ids=[
         "list", "string", "old-format", "old-format-no-stages", "key-missing",
-        "key-extra", "embedded-too-large", "embedded-too-small", "embedded-list",
+        "key-extra", "embedded-too-large", "embedded-too-small", "embedded-id-skips",
+        "embedded-list",
         "embedded-negative", "embedded-text", "embedded-float", "embedded-bool",
         "embedded-null", "format-absent", "format-1", "format-2", "format-3",
         "format-4", "internal-negative",
@@ -419,7 +427,7 @@ def _extra_relation(doc):
         "case3-orphans-its-element",
         "orphan-at-the-end", "a-outside-v-before",
         "a-wrong-length", "a-in-covered-prefix", "records-out-of-order",
-        "new-ids-frozen-level", "plugin-unknown",
+        "new-ids-frozen-level", "m0-loop-missing", "plugin-unknown",
         "plugin-other-signature", "signature-extra-relation",
     ],
 )

@@ -146,7 +146,7 @@ def test_stage_skips_exactly_the_covered_tuples(k, covered):
     text = " & ".join([f"!(y0 = x{i})" for i in range(k)] + ["!(y0 = y0)"])
     entry = _entry(ISET, text, fin(0))
     M = FinStructure(ISET.signature, tuple((e, fin(0)) for e in range(5)), ())
-    frontier = {entry.key(): covered} if covered else {}
+    frontier = {entry.key(): len(covered)} if covered else {}
     _, audit = build_stage(ISET, M, (entry,), 1, frontier)
     (ea,) = audit.entries
     done = [
@@ -156,7 +156,7 @@ def test_stage_skips_exactly_the_covered_tuples(k, covered):
     assert [r.a_tuple for r in ea.records] == done
     assert ea.internal == 0
     assert ea.skipped == 5**k - len(done)
-    assert frontier == {entry.key(): M.universe}
+    assert frontier == {entry.key(): M.size()}
 
 
 def test_unrealizable_entry_fires_case3_everywhere():
@@ -239,7 +239,7 @@ def test_level_sets_frozen_while_their_level_processes(chains12):
         for audit in chain.audits:
             for prev_ea, ea in zip(audit.entries, audit.entries[1:]):
                 if prev_ea.level == ea.level:
-                    assert prev_ea.v_before == ea.v_before
+                    assert prev_ea.v_size == ea.v_size
 
 
 def test_no_level_ever_changes(chains12):
@@ -259,15 +259,16 @@ def _first_new_element(chain):
 
 def test_each_turn_sees_a_prefix_of_the_next(chains12):
     """The skip rule rests on this: between two turns of an entry, its
-    V_alpha grows only at the end."""
+    V_alpha grows only at the end. Each turn saw the first v_size ids of
+    final's V_alpha (test_v_size_is_the_v_alpha_the_turn_saw), so the prefix
+    rule is v_size never falling between turns of an obligation."""
     for chain in chains12.values():
         key = {e.position: e.key() for e in chain.schedule}
         seen = {}
         for audit in chain.audits:
             for ea in audit.entries:
-                prev = seen.get(key[ea.position], ())
-                assert ea.v_before[: len(prev)] == prev
-                seen[key[ea.position]] = ea.v_before
+                assert ea.v_size >= seen.get(key[ea.position], 0)
+                seen[key[ea.position]] = ea.v_size
 
 
 def test_level_freeze_catches_a_moved_level(chains12):
@@ -283,12 +284,14 @@ def test_level_freeze_catches_a_moved_level(chains12):
 
 
 def test_level_freeze_catches_a_wrong_birth_stamp(chains12):
+    """A stage end shifted down by one moves the last id that stage made
+    into the next stage."""
     chain = chains12["random_graph"]
-    stage, alpha, e = _first_new_element(chain)
-    j = chain.final.universe.index(e)
-    born = chain.born[:j] + (stage + 1,) + chain.born[j + 1 :]
-    level = alpha.successor().render()
-    assert check_level_freeze(replace(chain, born=born)) == [
+    stage, _, _ = _first_new_element(chain)
+    e = chain.ends[stage] - 1
+    ends = chain.ends[:stage] + (e,) + chain.ends[stage + 1 :]
+    level = chain.final.level_of(e).render()
+    assert check_level_freeze(replace(chain, ends=ends)) == [
         (stage, e, f"{level} at stage {stage}", f"{level} at stage {stage + 1}")
     ]
 
@@ -363,11 +366,11 @@ def test_chain_serialization_round_trip(chains12):
 
 @pytest.mark.parametrize("fixture", ["equiv30", "iset30", "rado30", "equiv60"])
 def test_30_stage_chain_round_trip(request, fixture):
-    """The audits and birth stamps derived on load equal the ones the build
+    """The audits and stage ends derived on load equal the ones the build
     kept, over enough stages for entries to take many turns."""
     chain = request.getfixturevalue(fixture)
     back = load_chain(serialize_chain(chain))
-    assert back.born == chain.born and back.audits == chain.audits
+    assert back.ends == chain.ends and back.audits == chain.audits
     assert back.final == chain.final
 
 
@@ -389,13 +392,28 @@ def test_final_ids_must_begin_with_m0s():
     assert got == _load_outcome(reference_chain_from_doc, doc)
 
 
+@pytest.mark.parametrize(
+    "level, facts", [("fin1", [[0, 0]]), ("fin0", [])], ids=["level-moved", "loop-missing"]
+)
+def test_stage_0_must_be_m0(level, facts):
+    """A 0-stage chain has no record that could name element 0, so only the
+    comparison of stage 0 with build_m0 rejects a wrong level or fact."""
+    doc = chain_to_doc(build_chain(EQUIV, 0))
+    doc["final"]["elements"] = [[0, level]]
+    doc["final"]["facts"]["E"] = facts
+    got = _load_outcome(chain_from_doc, doc)
+    assert got == (ConstructionError, "stage 0 is not generic_equivalence's M0")
+    assert got == _load_outcome(reference_chain_from_doc, doc)
+
+
 def test_embedded_ids_load_born_at_the_last_stage(equiv30):
     """An element past the records' new ids loads when embedded counts it,
-    and is born at the last stage, as embed_model stamps it."""
+    and belongs to the last stage, as embed_model adds it."""
     doc = test_cli._append(1, 1)(chain_to_doc(equiv30))
     chain = chain_from_doc(doc)
     assert chain == reference_chain_from_doc(doc)
-    assert chain.born == equiv30.born + (30,)
+    assert chain.ends == equiv30.ends[:-1] + (equiv30.ends[-1] + 1,)
+    assert chain.stage_of([equiv30.final.size()]) == 30
     assert chain.audits == equiv30.audits
     assert chain_to_doc(chain) == doc
 
@@ -488,7 +506,7 @@ def test_crafted_schedule_loads_with_one_key_per_obligation():
     # position 2 first takes its turn at stage 5, before position 3, and
     # skips what its obligation processed at position 3 in stage 4
     stage4, stage5 = ({ea.position: ea for ea in a.entries} for a in back.audits[3:5])
-    assert stage5[2].skipped == len(stage4[3].v_before) > 0
+    assert stage5[2].skipped == stage4[3].v_size > 0
 
 
 def test_a_repeated_bad_formula_is_rejected_at_its_first_entry():
@@ -521,10 +539,10 @@ def _queries(M, levels):
 @pytest.mark.parametrize("name", sorted(PLUGINS))
 def test_stage_view_matches_stage_by_stage_build(chains12, name):
     """The replayed stages equal the structures a build_stage loop keeps,
-    each stage's neighbour index matches a scan of its facts, the birth
-    stamps and the audits (v_before derived on load) survive a file round
-    trip, and an embedding leaves stages 0..n-1 alone while its new elements
-    are born at stage n."""
+    each stage's neighbour index matches a scan of its facts, the stage
+    ends and the audits (v_size derived on load) survive a file round trip,
+    and an embedding leaves stages 0..n-1 alone while its new elements
+    belong to stage n."""
     plugin, chain = get_plugin(name), chains12[name]
     schedule = tuple(seeded_schedule(plugin.signature, plugin.seeds(), 12, 4))
     kept, frontier = [build_m0(plugin)], {}
@@ -545,7 +563,7 @@ def test_stage_view_matches_stage_by_stage_build(chains12, name):
             for e in M.universe + (M.max_id + 1,):
                 assert M.neighbours(rel, pos, e) == want.get(e, set())
     back = load_chain(serialize_chain(chain))
-    assert back.born == chain.born and back.audits == chain.audits
+    assert back.ends == chain.ends and back.audits == chain.audits
 
     # one more element than the chain has forces the embedding to grow it
     m, M0 = chain.final.size() + 1, kept[0]
@@ -561,11 +579,11 @@ def test_stage_view_matches_stage_by_stage_build(chains12, name):
     )
     _, grown = embed_model(plugin, A, chain)
     new = set(grown.final.universe) - set(chain.final.universe)
-    assert new and {grown.born_at[e] for e in new} == {12}
+    assert new and {grown.stage_of([e]) for e in new} == {12}
     assert grown.stages[:12] == chain.stages[:12]
     assert grown.stages[12] == grown.final
     back = load_chain(serialize_chain(grown))
-    assert back.born == grown.born and back.audits == grown.audits
+    assert back.ends == grown.ends and back.audits == grown.audits
     assert back.final == grown.final
 
 
@@ -592,10 +610,10 @@ def test_new_ids_follow_each_record_not_each_entry():
         "embedded": 0,
     }
     chain = chain_from_doc(doc)
-    assert chain.born == (0, 1, 2, 2)
+    assert chain.ends == (1, 2, 4)
     stage1, stage2 = chain.audits
     assert stage1.entries[0].records == (CaseRecord((0,), (1,), (1,)),)
-    assert stage2.entries[1].v_before == (0, 1)
+    assert stage2.entries[1].v_size == 2
     assert stage2.entries[1].records == (
         CaseRecord((0,), (1, 2), (2,)),
         CaseRecord((1,), (2, 3), (3,)),
@@ -605,8 +623,8 @@ def test_new_ids_follow_each_record_not_each_entry():
 
 def test_an_empty_witness_is_case_2_and_written_as_a_list():
     rec = CaseRecord((0,), ())
-    audit = StageAudit(1, (EntryAudit(0, fin(0), (0,), 0, 0, (rec,)),))
-    chain = StageChain("infinite_set", (), build_m0(ISET), (0,), (audit,))
+    audit = StageAudit(1, (EntryAudit(0, fin(0), 1, 0, 0, (rec,)),))
+    chain = StageChain("infinite_set", (), build_m0(ISET), (1, 1), (audit,))
     assert rec.case == 2 and CaseRecord((0,), None).case == 3
     assert chain_to_doc(chain)["records"][0][0] == [[[0], []]]  # stage 1, entry 0
 
@@ -663,6 +681,86 @@ def test_build_matches_the_per_tuple_reference(request, chains12, name, n):
     else:
         chain = build_chain(get_plugin(name), n)
     assert serialize_chain(reference_chain(get_plugin(name), n)) == serialize_chain(chain)
+
+
+# -- stages and turns as prefix lengths ------------------------------------------------
+
+
+_SOURCES = {
+    **{f"12:{name}": (name, 12) for name in sorted(PLUGINS)},
+    "equiv30": ("generic_equivalence", 30),
+    "rado30": ("random_graph", 30),
+    "grown": ("generic_equivalence", 12),
+}
+
+
+@pytest.fixture(scope="module")
+def reference_builds(request, chains12):
+    """source -> (chain, its per-tuple reference build, the (stage,
+    position, V_alpha) of each reference turn), built on first use. The
+    source "grown" is the 12-stage generic_equivalence chain grown by
+    embed_model, against the reference of the chain it grew from."""
+    cache = {}
+
+    def get(source):
+        if source not in cache:
+            name, n = _SOURCES[source]
+            chain = chains12[name] if n == 12 else request.getfixturevalue(source)
+            if source == "grown":
+                m = chain.final.size() + 1
+                A = FinStructure(
+                    EQUIV.signature,
+                    tuple((i, fin(0)) for i in range(m)),
+                    tuple(("E", (i, i)) for i in range(m)),
+                )
+                _, grown = embed_model(EQUIV, A, chain)
+                assert grown.final.size() > chain.final.size()
+                chain = grown
+            views: list = []
+            ref = reference_chain(get_plugin(name), n, views=views)
+            cache[source] = chain, ref, views
+        return cache[source]
+
+    return get
+
+
+def _built_or_loaded(chain, form):
+    return chain if form == "built" else load_chain(serialize_chain(chain))
+
+
+@pytest.mark.parametrize("form", ["built", "loaded"])
+@pytest.mark.parametrize("source", list(_SOURCES))
+def test_stages_are_prefixes_cut_at_their_ends(reference_builds, source, form):
+    """Stage s holds the first ends[s] ids of final, ends[s] is the size
+    of the structure the per-tuple reference build held after stage s (the
+    last stage also holds the ids an embedding added), and stage_of(id) is
+    the first stage whose end lies past the id."""
+    chain, ref, _ = reference_builds(source)
+    chain = _built_or_loaded(chain, form)
+    M, ends = chain.final, chain.ends
+    assert ends == (*ref.ends[:-1], M.size())
+    assert M.universe == tuple(range(M.size()))
+    assert len(chain.stages) == len(ends) == chain.n_stages + 1
+    for s, stage in enumerate(chain.stages):
+        assert stage.universe == M.universe[: ends[s]]
+    for e in M.universe:
+        assert chain.stage_of([e]) == next(s for s, end in enumerate(ends) if e < end)
+    assert chain.stage_of([]) == 0
+
+
+@pytest.mark.parametrize("form", ["built", "loaded"])
+@pytest.mark.parametrize("source", list(_SOURCES))
+def test_v_size_is_the_v_alpha_the_turn_saw(reference_builds, source, form):
+    """Each turn's v_size is |V_alpha| as the per-tuple reference build
+    read it from the structure at the turn's start, and that V_alpha is
+    the first v_size ids of final's V_alpha."""
+    chain, _, views = reference_builds(source)
+    chain = _built_or_loaded(chain, form)
+    turns = [(a.stage, ea) for a in chain.audits for ea in a.entries]
+    assert [(stage, ea.position) for stage, ea in turns] == [v[:2] for v in views]
+    for (_, ea), (_, _, v_alpha) in zip(turns, views):
+        assert ea.v_size == len(v_alpha)
+        assert chain.final.v_ids(ea.level)[: ea.v_size] == v_alpha
 
 
 @pytest.mark.parametrize(
@@ -734,10 +832,10 @@ def test_embed_single_element(chains12):
 
 
 def test_an_embedding_into_a_zero_stage_chain_round_trips():
-    """With no stage past M0, the embedded ids are born at stage 0."""
+    """With no stage past M0, the embedded ids belong to stage 0."""
     A = FinStructure(ISET.signature, ((0, fin(0)), (1, fin(0))), ())
     _, grown = embed_model(ISET, A, build_chain(ISET, 0))
-    assert grown.born == (0, 0)
+    assert grown.ends == (2,)
     doc = chain_to_doc(grown)
     assert doc["embedded"] == 1
     assert chain_from_doc(doc) == grown == reference_chain_from_doc(doc)

@@ -93,8 +93,8 @@ def _recount(chain, dset):
 
 
 def test_quantified_trends_are_counted_per_stage(equiv30):
-    """lonely loses solutions as partners arrive, so no birth stamp could
-    count it; both sets are searched at each stage."""
+    """lonely loses solutions as partners arrive, so no stage_of of its
+    solutions could count it; both sets are searched at each stage."""
     lonely = trend(equiv30, LONELY)
     assert lonely.counts == (1,) * 4 + (0,) * 8 + (8,) * 16 + (0,) * 3
     paired = trend(equiv30, PAIRED)
@@ -127,7 +127,7 @@ def _recast(f, rel, cap):
 @settings(max_examples=80, deadline=None)
 @given(_formulas(), st.data())
 def test_trend_matches_the_per_stage_recount(any_chain, f, data):
-    """Quantifier-free sets are read from the birth stamps and sets with
+    """Quantifier-free sets are read from final's stage ends and sets with
     exists per stage; both must equal a search of every stage. Caps keep
     the searches of the 30-stage chains to at most 45 elements."""
     M = any_chain.final

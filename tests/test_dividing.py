@@ -286,7 +286,7 @@ def test_base_check_starts_when_psi_exists(equiv30):
     (stage 4). The base is checked from stage 8, where both sets exist, and
     lies inside psi there."""
     psi = DefinableSet(parse("E(x0, z0)", EQUIV.signature), ("x0",), (("z0", 3),), OMEGA)
-    assert (equiv30.born_at[2], equiv30.born_at[3]) == (4, 8)
+    assert (equiv30.stage_of([2]), equiv30.stage_of([3])) == (4, 8)
     rep = find_dimension_drop(equiv30, psi, E_PHI, (), (2,))
     assert (rep.base_trend.start_stage, rep.psi_trend.start_stage) == (4, 8)
 
@@ -325,7 +325,7 @@ def test_random_graph_drops_are_never_certified(rado30):
 @pytest.mark.parametrize("name", sorted(PLUGINS))
 def test_drop_survey_skips_exactly_the_late_trends(chains12, name):
     """A candidate is skipped exactly when its trend starts after the
-    window opens. The windows open at the first and the last birth stage
+    window opens. The windows open at the first and the last arrival stage
     strictly between 0 and the final stage, so some candidate is born
     exactly at the window start."""
     plugin, chain = get_plugin(name), chains12[name]
@@ -333,7 +333,7 @@ def test_drop_survey_skips_exactly_the_late_trends(chains12, name):
     phi = parse("x0 = y0" if not sig.relations else f"{sig.names()[0]}(x0, y0)", sig)
     psi = _ambient(sig)
     b = min(e for e in chain.final.universe if chain.final.level_of(e) == fin(1))
-    births = sorted({chain.born_at[e] for e in chain.final.universe} - {0, chain.n_stages})
+    births = sorted({chain.stage_of([e]) for e in chain.final.universe} - {0, chain.n_stages})
     assert births
     for start in (births[0], births[-1]):
         window = chain.n_stages - start + 1
@@ -344,7 +344,7 @@ def test_drop_survey_skips_exactly_the_late_trends(chains12, name):
             c for c in pool
             if trend(chain, DefinableSet(phi, ("x0",), (("y0", c[0]),), OMEGA)).start_stage > start
         }
-        assert any(chain.born_at[c[0]] == start for c in pool)
+        assert any(chain.stage_of(c[:1]) == start for c in pool)
         assert rep.skipped_late == tuple(c for c in pool if c in late)
         assert tuple(e.instance for e in rep.entries) == tuple(c for c in pool if c not in late)
 
