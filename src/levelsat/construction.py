@@ -18,6 +18,14 @@ V_alpha (snapshot taken when the entry's turn starts, lexicographic order):
           fresh element (min_new=1), and that is exact: its pass with none
           would search its pool, V_{alpha+1} plus the parameters, which lie
           in V_alpha, so exactly the ids where the witness test just failed.
+          For an entry with one y slot, that fresh element is the witness,
+          so the oracle never reads its pool; where the plugin declares its
+          answer fixed by a-bar's atomic diagram and the order of its ids
+          (TheoryPlugin), the build memoises the answer, refusals included,
+          over a-bar's positions and offsets from max_id + 1 under (entry,
+          diagram, id order). A hit asks the oracle nothing, a miss asks it
+          twice and compares (the determinism check), and every answer goes
+          through the structure's checks and the witness re-check.
   case 3: the oracle reports phi(a-bar, y-bar) unrealizable; unchanged. This
           verdict is final: extensions only shrink what is realizable.
 
@@ -65,7 +73,7 @@ from .formula import (
     seeded_schedule,
 )
 from .structures import ExtensionDelta, FinStructure, apply_delta, canonical_json
-from .theory import PLUGINS, TheoryPlugin, get_plugin
+from .theory import PLUGINS, TheoryPlugin, WitnessExtension, get_plugin
 
 
 class InternalFaultError(RuntimeError):
@@ -175,14 +183,20 @@ def build_stage(
     entries: tuple[ScheduleEntry, ...],
     stage: int,
     frontier: dict,
+    memo: Optional[dict] = None,
 ) -> tuple[FinStructure, StageAudit]:
     """Process the given schedule entries in turn order against prev.
     frontier maps an entry key to |V_alpha| at its previous turn; it is
     updated in place. Returns the new structure and the stage audit. prev
     is not changed: the stage grows one thawed copy of it in place, one
     delta at a time, and freezes it at the end. Each turn asks case 1 of
-    one witness test, made again after each case-2 step changes M."""
+    one witness test, made again after each case-2 step changes M.
+
+    memo (a fresh dict when None) holds the oracle answers by (entry key,
+    diag_key of a-bar, the order of a-bar's ids), as case 2 in the module
+    docstring says; it is updated in place."""
     M = prev._thawed()
+    memo = {} if memo is None else memo
     audits = []
     for entry in sorted(entries, key=_turn):
         key = entry.key()
@@ -195,20 +209,29 @@ def build_stage(
         todo = itertools.product(v_now, repeat=k) if seen is None else _touching(v_now, seen, k)
         internal, records = 0, []
         has_witness = witnessed(M, entry.formula, entry.x_vars, entry.y_vars, succ)
+        # with min_new=1 and at most one slot, the oracle never reads its pool
+        memoised = plugin.answer_fixed_by_diagram_and_order and len(entry.y_vars) <= 1
         for a_bar in todo:
             if has_witness(a_bar):
                 internal += 1
                 continue
-            # the test has just searched V_{alpha+1}, the oracle's old ids
-            args = (M, entry.formula, a_bar, succ)
-            kw = dict(
-                x_vars=entry.x_vars, y_vars=entry.y_vars, allowed_old=M.v_ids(succ), min_new=1
-            )
-            ext = plugin.extends_with_witness(*args, **kw)
-            if plugin.extends_with_witness(*args, **kw) != ext:
-                raise InternalFaultError(
-                    f"oracle nondeterminism on {render(entry.formula)} at {a_bar}"
+            ids = a_bar + tuple(range(M.max_id + 1, M.max_id + 1 + len(entry.y_vars)))
+            slot = (key, diag_key(M, a_bar), _id_order(a_bar)) if memoised else None
+            if memoised and slot in memo:
+                ext = _instantiate(memo[slot], ids, succ)
+            else:
+                # the test has just searched V_{alpha+1}, the oracle's old ids
+                args = (M, entry.formula, a_bar, succ)
+                kw = dict(
+                    x_vars=entry.x_vars, y_vars=entry.y_vars, allowed_old=M.v_ids(succ), min_new=1
                 )
+                ext = plugin.extends_with_witness(*args, **kw)
+                if plugin.extends_with_witness(*args, **kw) != ext:
+                    raise InternalFaultError(
+                        f"oracle nondeterminism on {render(entry.formula)} at {a_bar}"
+                    )
+                if memoised:
+                    memo[slot] = _template(ext, ids)
             if ext is None:
                 records.append(CaseRecord(a_bar, None))
                 continue
@@ -225,6 +248,44 @@ def build_stage(
         v_size = frontier[key] = len(v_now)
         audits.append(EntryAudit(entry.position, alpha, v_size, skipped, internal, tuple(records)))
     return M._freeze(), StageAudit(stage, tuple(audits))
+
+
+def _id_order(a_bar: tuple[int, ...]) -> tuple[int, ...]:
+    """The positions of a_bar by ascending id, ties by position."""
+    return tuple(sorted(range(len(a_bar)), key=a_bar.__getitem__))
+
+
+def _template(ext: Optional[WitnessExtension], ids: tuple[int, ...]) -> Optional[tuple]:
+    """ext with each id replaced by its index in ids, the parameters and
+    then the fresh ids from max_id + 1: (new elements, facts, witness), or
+    None for a refusal."""
+    if ext is None:
+        return None
+    at = {e: i for i, e in enumerate(ids)}
+    try:
+        return (
+            tuple(at[e] for e, _ in ext.delta.new_elements),
+            tuple((rel, tuple(at[t] for t in terms)) for rel, terms in ext.delta.new_facts),
+            tuple(at[e] for e in ext.witness),
+        )
+    except KeyError as e:
+        raise InternalFaultError(f"oracle answer names id {e} outside the parameters") from None
+
+
+def _instantiate(
+    template: Optional[tuple], ids: tuple[int, ...], level: LevelOrdinal
+) -> Optional[WitnessExtension]:
+    """The inverse of _template: the answer over ids, new elements at level."""
+    if template is None:
+        return None
+    new, facts, witness = template
+    return WitnessExtension(
+        ExtensionDelta(
+            tuple((ids[i], level) for i in new),
+            tuple((rel, tuple(ids[i] for i in terms)) for rel, terms in facts),
+        ),
+        tuple(ids[i] for i in witness),
+    )
 
 
 def _turn(entry: ScheduleEntry) -> tuple[str, int, int]:
@@ -276,8 +337,9 @@ def build_chain(
     M = build_m0(plugin)
     ends, audits = [M.size()], []
     frontier: dict = {}
+    memo: dict = {}
     for n in range(1, n_stages + 1):
-        M, audit = build_stage(plugin, M, schedule[:n], n, frontier)
+        M, audit = build_stage(plugin, M, schedule[:n], n, frontier, memo)
         # the oracle hands out ids past the largest, so stage n's come last
         ends.append(M.size())
         audits.append(audit)

@@ -129,6 +129,22 @@ class TheoryPlugin(abc.ABC):
     are compared only by equality). Hence two parameter tuples with one
     diagram pose the same search up to renaming the ids, in any structure
     of the theory. certify_dividing relies on it to ask once per diagram.
+
+    answer_fixed_by_diagram_and_order promises more, for extends_with_witness
+    with one y slot and min_new=1, where the search tries only the fresh
+    marker and never reads its pool: two parameter tuples with one diag_key
+    and one order of their ids (in one structure of the theory or in two)
+    get one answer, refusals included, up to renaming the parameters to
+    their positions and the fresh ids to their offsets from max_id + 1.
+    build_stage memoises the answers by that key. The order belongs in the
+    key: _complete tries fresh edges by ascending id, so on an edgeless
+    graph R(x0, y0) | R(x1, y0) joins the fresh point to position 1 at
+    (1, 2) but to position 0 at (2, 1), one diagram. GenericEquivalenceTheory
+    keeps the default False: its answer links the fresh point to class
+    members no parameter names, and it tries old classes by least member,
+    which is not read from the parameters' diagram and order. With classes
+    {0, 3}, {1}, {2}, the same formula puts the fresh point in x0's class
+    at (1, 2) but in x1's at (1, 3).
     """
 
     name: str = ""
@@ -137,6 +153,7 @@ class TheoryPlugin(abc.ABC):
     # and ae_axioms when the plugin is made
     universal_texts: tuple[tuple[str, str], ...] = ()
     ae_texts: tuple[tuple[str, str], ...] = ()
+    answer_fixed_by_diagram_and_order: bool = False
 
     def __init__(self) -> None:
         sig = self.signature
@@ -328,6 +345,7 @@ class InfiniteSetTheory(TheoryPlugin):
 
     name = "infinite_set"
     signature = Signature(())
+    answer_fixed_by_diagram_and_order = True
     ae_texts = (
         ("another", "!(y0 = x0)"),
         ("third", "!(y0 = x0) & !(y0 = x1)"),
@@ -353,6 +371,7 @@ class _GraphTheory(TheoryPlugin):
     configurations (triangle-freeness for the Henson theory)."""
 
     rel = "R"
+    answer_fixed_by_diagram_and_order = True
 
     def _slot_atom(self, M, val, rel, terms):
         """val maps each unordered fresh pair (low, high) to its edge."""

@@ -683,6 +683,80 @@ def test_build_matches_the_per_tuple_reference(request, chains12, name, n):
     assert serialize_chain(reference_chain(get_plugin(name), n)) == serialize_chain(chain)
 
 
+# -- memoised oracle answers ---------------------------------------------------------
+
+
+def _crafted_graph_schedule(plugin):
+    """Two isolated points at fin1 from a two-slot entry, a three-parameter
+    entry whose answers depend on the order of the parameters' ids, edges
+    from fin0, a two-slot entry whose witness takes an old id, and a common
+    neighbour, which the triangle-free graph refuses to an edge."""
+    rows = [
+        ("!(y0 = y1) & !R(y0, y1) & !(y0 = x0) & !(y1 = x0)", fin(0)),
+        ("(R(x0, y0) & !R(x1, y0) & !R(x2, y0)) | (!R(x0, y0) & R(x1, y0) & R(x2, y0))", fin(1)),
+        ("R(x0, y0)", fin(0)),
+        ("R(x0, y0) & R(y0, y1) & !(y1 = x0)", fin(1)),
+        ("R(x0, y0) & R(x1, y0)", fin(1)),
+    ]
+    return tuple(_entry(plugin, text, level, pos) for pos, (text, level) in enumerate(rows))
+
+
+# random_graph first: a memo shared across builds would hand its common
+# neighbours to the triangle-free build
+@pytest.mark.parametrize("name", ["random_graph", "henson_triangle_free"])
+def test_crafted_graph_schedule_matches_the_per_tuple_reference(name):
+    """The memo is keyed by the diagram and the id order, held per build and
+    used for one-slot entries only: a build of the crafted schedule writes
+    the reference's chain, which asks the oracle once per tuple."""
+    plugin = get_plugin(name)
+    schedule = _crafted_graph_schedule(plugin)
+    chain = build_chain(plugin, len(schedule), schedule=schedule)
+    assert serialize_chain(chain) == serialize_chain(
+        reference_chain(plugin, len(schedule), schedule)
+    )
+    records = {}
+    for audit in chain.audits:
+        for ea in audit.entries:
+            records.setdefault(ea.position, []).extend(ea.records)
+    assert len(records[1]) > 1  # the order-dependent entry reaches the oracle
+    assert any(set(r.witness) - set(r.new_ids) for r in records[3] if r.witness)
+    refused = [r for r in records[4] if r.case == 3]
+    assert bool(refused) == (name == "henson_triangle_free")
+
+
+def _counting(name):
+    class Counting(type(get_plugin(name))):
+        calls = 0
+
+        def extends_with_witness(self, *args, **kwargs):
+            self.calls += 1
+            return super().extends_with_witness(*args, **kwargs)
+
+    return Counting()
+
+
+@pytest.mark.parametrize(
+    "name, n, calls",
+    [("random_graph", 30, 38), ("henson_triangle_free", 36, 34), ("generic_equivalence", 60, 188)],
+)
+def test_oracle_calls_are_pinned(name, n, calls):
+    """Oracle calls of the benchmark's three workload builds: a memo miss
+    asks twice, a hit not at all. generic_equivalence makes no memo."""
+    plugin = _counting(name)
+    build_chain(plugin, n)
+    assert plugin.calls == calls
+
+
+def test_a_memo_hit_is_rechecked():
+    """A memoised answer goes through the witness re-check like the
+    oracle's: a planted template whose fresh point has no edge fails it."""
+    entry = _entry(RADO, "R(x0, y0)", fin(0))
+    M0 = build_m0(RADO)
+    memo = {(entry.key(), diag_key(M0, (0,)), (0,)): ((1,), (), (1,))}
+    with pytest.raises(InternalFaultError):
+        build_stage(RADO, M0, (entry,), 1, {}, memo)
+
+
 # -- stages and turns as prefix lengths ------------------------------------------------
 
 

@@ -24,7 +24,9 @@ from levelsat.formula import (
     RelAtom,
     _formula_stream,
     fin,
+    parse,
     render,
+    split_vars,
 )
 from levelsat.structures import FinStructure, apply_delta
 from levelsat.theory import PLUGINS, get_plugin
@@ -375,3 +377,109 @@ def test_asymmetric_and_loopy_fact_sets_fail_validation():
     equiv = get_plugin("generic_equivalence")
     M_noloop = FinStructure(equiv.signature, ((0, fin(0)),), ())
     assert equiv.validate_t_forall(M_noloop)
+
+
+# -- answers fixed by the diagram and the id order -------------------------------
+
+
+# one-slot formulas whose answers depend on the order of the parameters' ids
+_ORDER_FORMULAS = (
+    "R(x0, y0) | R(x1, y0)",
+    "(R(x0, y0) & !R(x1, y0)) | (!R(x0, y0) & R(x1, y0))",
+)
+
+
+def _id_order(t):
+    return tuple(sorted(range(len(t)), key=t.__getitem__))
+
+
+def _renamed(ext, a_bar, base):
+    """ext with each parameter id named by its first position in a_bar, each
+    id from base by its offset, and any other old id kept as it is."""
+    if ext is None:
+        return None
+
+    def name(e):
+        if e >= base:
+            return ("new", e - base)
+        return ("x", a_bar.index(e)) if e in a_bar else ("old", e)
+
+    return (
+        tuple(name(e) for e, _ in ext.delta.new_elements),
+        tuple((rel, tuple(map(name, terms))) for rel, terms in ext.delta.new_facts),
+        tuple(map(name, ext.witness)),
+    )
+
+
+def _fresh_answer(plugin, M, phi, xs, ys, a_bar):
+    ext = plugin.extends_with_witness(M, phi, a_bar, fin(1), x_vars=xs, y_vars=ys, min_new=1)
+    return _renamed(ext, a_bar, M.max_id + 1)
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(PLUGINS) if PLUGINS[n].answer_fixed_by_diagram_and_order]
+)
+def test_fresh_answers_are_fixed_by_diagram_and_id_order(name):
+    """A plugin that declares answer_fixed_by_diagram_and_order gives one
+    renamed one-slot answer (min_new=1) for every two parameter tuples with
+    one diag_key and one id order, in one random structure of up to 6
+    elements or in two, over 40 one-slot formulas drawn from the formula
+    stream and, for the graphs, two whose answers depend on the order. For
+    the graphs, the order must be in that key."""
+    plugin = get_plugin(name)
+    sig = plugin.signature
+    stream = itertools.islice(_formula_stream(sig), 3000)
+    pool = random.Random(22).sample(
+        [(f, xs, ys) for f, xs, ys in stream if len(ys) == 1 and len(xs) <= 2], 40
+    )
+    if sig.relations:
+        pool += [(f, *split_vars(f)) for f in (parse(t, sig) for t in _ORDER_FORMULAS)]
+    structures = _random_structures(plugin, sizes=(3, 4, 5, 6), per_size=2, seed=22)
+    by_key, by_diagram, checked = {}, {}, 0
+    for phi, xs, ys in pool:
+        for M in structures:
+            for a_bar in itertools.product(M.universe, repeat=len(xs)):
+                got = _fresh_answer(plugin, M, phi, xs, ys, a_bar)
+                key = (render(phi), diag_key(M, a_bar))
+                by_key.setdefault((*key, _id_order(a_bar)), set()).add(got)
+                by_diagram.setdefault(key, set()).add(got)
+                checked += 1
+    mixed = [k for k, answers in by_key.items() if len(answers) > 1]
+    assert checked > 1000 and not mixed, mixed[:3]
+    assert {None} < set.union(*by_key.values())  # refusals and witnesses both seen
+    if sig.relations:
+        assert any(len(answers) > 1 for answers in by_diagram.values())
+
+
+def test_graph_answers_depend_on_the_id_order():
+    """On an edgeless 3-element graph, R(x0, y0) | R(x1, y0) joins the fresh
+    point to position 1 at (1, 2) but to position 0 at (2, 1)."""
+    rado = get_plugin("random_graph")
+    M = _graph_structure(rado.signature, 3, ())
+    phi = parse(_ORDER_FORMULAS[0], rado.signature)
+    xs, ys = ("x0", "x1"), ("y0",)
+    assert diag_key(M, (1, 2)) == diag_key(M, (2, 1))
+    assert _fresh_answer(rado, M, phi, xs, ys, (1, 2))[1] == (
+        ("R", (("new", 0), ("x", 1))), ("R", (("x", 1), ("new", 0)))
+    )
+    assert _fresh_answer(rado, M, phi, xs, ys, (2, 1))[1] == (
+        ("R", (("new", 0), ("x", 0))), ("R", (("x", 0), ("new", 0)))
+    )
+
+
+def test_equivalence_answers_are_not_fixed_by_diagram_and_id_order():
+    """generic_equivalence keeps answer_fixed_by_diagram_and_order off: with
+    classes {0, 3}, {1}, {2}, the tuples (1, 2) and (1, 3) share a diagram
+    and an id order, yet E(x0, y0) | E(x1, y0) puts the fresh point in x0's
+    class at (1, 2) (old classes are tried by least member) and in x1's at
+    (1, 3), linked to 0, which no parameter names."""
+    equiv = get_plugin("generic_equivalence")
+    assert not equiv.answer_fixed_by_diagram_and_order
+    M = _equiv_structure(equiv.signature, [[0, 3], [1], [2]])
+    phi = parse("E(x0, y0) | E(x1, y0)", equiv.signature)
+    xs, ys = ("x0", "x1"), ("y0",)
+    assert diag_key(M, (1, 2)) == diag_key(M, (1, 3)) and _id_order((1, 2)) == _id_order((1, 3))
+    at_12, at_13 = (_fresh_answer(equiv, M, phi, xs, ys, t) for t in ((1, 2), (1, 3)))
+    assert ("E", (("new", 0), ("x", 0))) in at_12[1]
+    assert ("E", (("new", 0), ("x", 1))) in at_13[1]
+    assert ("E", (("new", 0), ("old", 0))) in at_13[1]
