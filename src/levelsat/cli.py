@@ -16,7 +16,7 @@ Parameter bindings take element ids or the anchor "first_at_level <level>",
 resolved against the final stage.
 
 Exit codes: 0 success; 1 a condition demanded by --expect failed; 2 config
-or usage error; 3 internal invariant violation.
+or usage error; 3 internal invariant violation or any other exception.
 """
 
 from __future__ import annotations
@@ -610,6 +610,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         # land here: bad input, not a bug
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception:  # any other escape is a bug too, never an unmet --expect
+        import traceback  # imported here only: at the top it slows every start-up
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

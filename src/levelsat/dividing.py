@@ -325,10 +325,10 @@ def _family_has_k_sharing(family: list[tuple[int, ...]], k: int) -> bool:
 @dataclass(frozen=True)
 class CoveringReport:
     """Evidence that the covering bound holds on a ground set of s_size
-    points split into K parts: counting certificate, exhaustive search for a
-    counterexample family, a literal enumeration when small enough, seeded
-    random families, and the tight family one below the bound when K divides
-    s_size."""
+    points split into K parts: counting certificate, a literal enumeration
+    when small enough, seeded random families, and the tight family one
+    below the bound when K divides s_size. counterexample is the first
+    enumerated or sampled family of L members with no point in k of them."""
 
     s_size: int
     K: int
@@ -363,21 +363,17 @@ def covering_check(
 
     The counting certificate: a family in which no point lies in k members
     has at most (k - 1) s_size incidences, so at most
-    floor((k - 1) s_size / m) members, always fewer than L. The exhaustive
-    search mirrors that argument: it looks for L size-m subsets with every
-    point used at most k - 1 times, pruning branches whose remaining demand
-    exceeds the free incidence slots (a counterexample family of larger
-    subsets restricts to one of exact size m, so size m is enough). The
-    literal enumeration, when the multiset space is small, re-checks the
-    statement with no reduction at all."""
+    floor((k - 1) s_size / m) members, always fewer than L, since K m >=
+    s_size gives L m = (k - 1) K m + m > (k - 1) s_size. The literal
+    enumeration, when the multiset space is small, re-checks the statement
+    with no reduction at all (a counterexample family of larger subsets
+    restricts to one of exact size m, so size m is enough); seeded random
+    families probe the larger spaces."""
     if s_size < 1:
         raise ValueError("need at least one point")
     L = covering_bound(K, k)
     m = -(-s_size // K)
-    cap = (k - 1) * s_size
-    max_family = cap // m
-
-    counterexample = _search_counterexample(s_size, m, k, L, cap)
+    max_family = (k - 1) * s_size // m
 
     n_subsets = math.comb(s_size, m)
     literal_checked = 0
@@ -411,38 +407,6 @@ def covering_check(
         sharp_ok = len(sharp) == L - 1 and not _family_has_k_sharing(list(sharp), k)
 
     return CoveringReport(
-        s_size, K, k, m, L, max_family, counterexample, literal_checked,
-        samples_checked, sharp, sharp_ok,
+        s_size, K, k, m, L, max_family, None, literal_checked, samples_checked,
+        sharp, sharp_ok,
     )
-
-
-def _search_counterexample(
-    s_size: int, m: int, k: int, L: int, cap: int
-) -> Optional[tuple[tuple[int, ...], ...]]:
-    """Exhaustive multiset search for L size-m subsets with all point
-    multiplicities <= k - 1. Returns one if it exists (it never does; the
-    capacity prune is the counting argument made executable)."""
-    subsets = list(itertools.combinations(range(s_size), m))
-    mult = [0] * s_size
-    chosen: list[tuple[int, ...]] = []
-
-    def rec(start: int, used: int) -> Optional[tuple[tuple[int, ...], ...]]:
-        if len(chosen) == L:
-            return tuple(chosen)
-        if (L - len(chosen)) * m > cap - used:
-            return None
-        for i in range(start, len(subsets)):
-            s = subsets[i]
-            if all(mult[p] < k - 1 for p in s):
-                for p in s:
-                    mult[p] += 1
-                chosen.append(s)
-                found = rec(i, used + m)
-                chosen.pop()
-                for p in s:
-                    mult[p] -= 1
-                if found:
-                    return found
-        return None
-
-    return rec(0, 0)

@@ -162,19 +162,6 @@ def free_vars(f: Formula) -> frozenset[str]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def formula_size(f: Formula) -> int:
-    """Node count, atoms included."""
-    if isinstance(f, (RelAtom, Eq)):
-        return 1
-    if isinstance(f, Not):
-        return 1 + formula_size(f.body)
-    if isinstance(f, (And, Or)):
-        return 1 + formula_size(f.left) + formula_size(f.right)
-    if isinstance(f, Exists):
-        return 1 + formula_size(f.body)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def is_quantifier_free(f: Formula) -> bool:
     if isinstance(f, (RelAtom, Eq)):
         return True
@@ -525,11 +512,11 @@ def _formula_stream(signature: Signature) -> Iterator[tuple[Formula, tuple[str, 
                         layer.append(Or(lf, rf))
             by_size.append(layer)
         fresh = []
-        for size in range(1, budget + 1):
+        for size in range(1, budget + 1):  # by_size[size] holds size-node formulas
             for f in by_size[size]:
                 text = render(f)
                 if text not in seen:
-                    fresh.append((formula_size(f), text, f))
+                    fresh.append((size, text, f))
         fresh.sort(key=lambda t: (t[0], t[1]))
         for _, text, f in fresh:
             seen.add(text)

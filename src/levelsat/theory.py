@@ -299,9 +299,8 @@ class TheoryPlugin(abc.ABC):
 
             def candidates(i: int, env: dict[str, int]) -> tuple[int, ...]:
                 used = _markers(env)
+                # need <= left: k <= len(y_vars), and need == left forces a new marker
                 need, left = k - used, len(y_vars) - i
-                if need > left:
-                    return ()  # cannot introduce the remaining markers
                 if need == left:
                     return (-(used + 1),)  # every slot left must be a new marker
                 if not old:

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 import yaml
 
+from levelsat import cli
 from levelsat.cli import build_set, load_config
-from levelsat.construction import load_chain
+from levelsat.construction import InternalFaultError, load_chain
 from levelsat.dimension import read_trend_csv
 from levelsat.evaluator import solutions
 
@@ -122,6 +123,41 @@ def test_dim_expect_failure_exits_one(equiv_build, tmp_path):
     )
     assert proc.returncode == 1
     assert "expectation failed" in proc.stdout
+
+
+def _dim_in_process(equiv_build, tmp_path, *args):
+    out, _ = equiv_build
+    return cli.main([
+        "dim",
+        "--config", str(CONFIGS / "equivalence_drop.yaml"),
+        "--chain", str(out / "generic_equivalence.chain.json"),
+        "--out-dir", str(tmp_path),
+        *args,
+    ])
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [(InternalFaultError("planted"), "internal invariant violation: planted"),
+     (TypeError("planted"), "Traceback")],
+    ids=["InternalFaultError", "TypeError"],
+)
+def test_a_bug_exits_three(equiv_build, tmp_path, monkeypatch, capsys, fault, message):
+    """Exit 1 means an unmet --expect, so an exception that is neither bad
+    input nor an InternalFaultError must not escape to Python's exit 1."""
+
+    def broken(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(cli, "trend", broken)
+    assert _dim_in_process(equiv_build, tmp_path, "--expect", "verdict=DivergesNeg") == 3
+    err = capsys.readouterr().err
+    assert message in err and "planted" in err
+
+
+def test_an_unmet_expect_exits_one_in_process(equiv_build, tmp_path, capsys):
+    assert _dim_in_process(equiv_build, tmp_path, "--expect", "verdict=Bounded") == 1
+    assert "expectation failed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

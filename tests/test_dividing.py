@@ -51,6 +51,16 @@ def test_covering_bound_monotone():
             assert covering_bound(K, k + 1) > covering_bound(K, k)
 
 
+def test_covering_certificate_inequality():
+    """L ceil(s / K) > (k - 1) s: L subsets of ceil(s / K) points each need
+    more incidences than s points can hold at k - 1 apiece."""
+    for s in range(1, 61):
+        for K in range(1, s + 1):
+            m = -(-s // K)
+            for k in range(1, 9):
+                assert covering_bound(K, k) * m > (k - 1) * s, (s, K, k)
+
+
 def test_covering_check_small_sharp():
     rep = covering_check(4, 2, 2)
     assert rep.ok

@@ -1,5 +1,7 @@
 """Formula AST, parser/printer, levels, and the schedule enumerators."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from levelsat.formula import (
     ParseError,
     RelAtom,
     Signature,
+    _formula_stream,
     conjoin,
     disjuncts,
     enumerate_schedule,
@@ -28,7 +31,7 @@ from levelsat.formula import (
     seeded_schedule,
     split_vars,
 )
-from levelsat.theory import get_plugin
+from levelsat.theory import PLUGINS, get_plugin
 
 SIG = Signature((("E", 2),))
 
@@ -185,6 +188,34 @@ def test_nnf_pushes_not_to_the_atoms():
 def test_quantifier_free_fragment():
     assert is_quantifier_free(parse("E(x0, y0) & !(y0 = x0)", SIG))
     assert not is_quantifier_free(parse("exists y0. E(x0, y0)", SIG))
+
+
+# -- formula stream -------------------------------------------------------------
+
+
+def _nodes(f):
+    if isinstance(f, Not):
+        return 1 + _nodes(f.body)
+    if isinstance(f, (And, Or)):
+        return 1 + _nodes(f.left) + _nodes(f.right)
+    return 1
+
+
+@pytest.mark.parametrize("name", sorted(PLUGINS))
+def test_formula_stream_order(name):
+    """Items come in (variable budget, node count, text) order with distinct
+    texts. A formula first enters at budget max(node count, highest variable
+    index + 1), and within one budget the order is (node count, text)."""
+    items = list(itertools.islice(_formula_stream(get_plugin(name).signature), 3000))
+    texts = [render(f) for f, _, _ in items]
+    assert len(set(texts)) == len(texts)
+    keys = []
+    for (f, _, _), text in zip(items, texts):
+        size = _nodes(f)
+        budget = max(size, *(int(v[1:]) + 1 for v in free_vars(f)))
+        keys.append((budget, size, text))
+    assert keys == sorted(keys)
+    assert keys[-1][0] >= 3  # the sample reaches a budget with three node counts
 
 
 # -- fair schedule --------------------------------------------------------------
