@@ -65,7 +65,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SetSpec:
-    name: str
     formula: Formula
     vars: tuple[str, ...]
     params: tuple[tuple[str, object], ...]  # var -> id or anchor text
@@ -206,7 +205,6 @@ def load_config(path: str) -> Config:
         if leftover:
             raise ConfigError(f"set {sname!r}: unbound variables {sorted(leftover)}")
         sets[sname] = SetSpec(
-            sname,
             f,
             tuple(split),
             tuple(sorted(params_raw.items())),
@@ -358,7 +356,6 @@ def cmd_dim(
 ) -> int:
     final = chain.final
     report = {"window": window, "bound": bound, "comparisons": []}
-    verdicts = []
     # every comparison is made before the first line is printed or written,
     # so a bad one leaves no output behind
     results = []
@@ -367,7 +364,6 @@ def cmd_dim(
         t2 = trend(chain, build_set(cfg.sets[right], final), label=right)
         results.append((left, right, t1, t2, dim_compare(t1, t2, window, bound)))
     for left, right, t1, t2, res in results:
-        verdicts.append(res.verdict)
         print(f"{left} vs {right}: {res.verdict} ({res.evidence})")
         csv1 = out_dir / f"{left}.csv"
         csv2 = out_dir / f"{right}.csv"
@@ -395,7 +391,7 @@ def cmd_dim(
             }
         )
     _write(out_dir / "dim_report.json", canonical_json(report) + "\n")
-    return _check_expect(expect, verdicts=verdicts if cfg.comparisons else None)
+    return _check_expect(expect, _dim_holds([res.verdict for *_, res in results]))
 
 
 def cmd_divide(
@@ -410,7 +406,6 @@ def cmd_divide(
     plugin = get_plugin(cfg.plugin)
     final = chain.final
     report = {"window": window, "bound": bound, "seed": seed, "experiments": []}
-    certified_all, dropped_all = True, True
     # every experiment runs before the first line is printed or written, so
     # a bad one leaves no output behind
     results = []
@@ -426,8 +421,6 @@ def cmd_divide(
         )
         results.append((spec, a_ids, b_ids, witness, drop))
     for spec, a_ids, b_ids, witness, drop in results:
-        certified_all &= witness is not None
-        dropped_all &= drop.any_diverges_neg
         psi_csv = out_dir / f"{spec.name}.psi.csv"
         phi_csv = out_dir / f"{spec.name}.phi.csv"
         _write(psi_csv, export_trend_csv(drop.psi_trend))
@@ -481,39 +474,38 @@ def cmd_divide(
         if best is not None:
             print(f"  best: instance {list(best.instance)} {best.result.evidence}")
     _write(out_dir / "divide_report.json", canonical_json(report) + "\n")
-    return _check_expect(
-        expect, certified=certified_all if cfg.dividing else None,
-        dropped=dropped_all if cfg.dividing else None,
-    )
+    holds = _divide_holds([(w is not None, d.any_diverges_neg) for *_, w, d in results])
+    return _check_expect(expect, holds)
 
 
-EXPECT_TOKENS = {
-    "dim": frozenset(f"{kind}={v}" for kind in ("verdict", "any-verdict") for v in VERDICTS),
-    "divide": frozenset(("certified", "not-certified", "drop")),
-}
+def _dim_holds(verdicts: list[str]) -> dict[str, bool]:
+    """Whether each dim --expect token holds, given the comparisons'
+    verdicts: verdict=V when every comparison reads V, any-verdict=V when
+    some does. With no comparison, none holds."""
+    return {
+        f"{kind}={v}": bool(verdicts) and test(r == v for r in verdicts)
+        for kind, test in (("verdict", all), ("any-verdict", any))
+        for v in VERDICTS
+    }
 
 
-def _check_expect(
-    expect: list[str],
-    verdicts: Optional[list[str]] = None,
-    certified: Optional[bool] = None,
-    dropped: Optional[bool] = None,
-) -> int:
-    failed = []
-    for token in expect:  # each one of EXPECT_TOKENS
-        kind, _, want = token.partition("=")
-        if kind == "certified":
-            ok = bool(certified)
-        elif kind == "not-certified":
-            ok = certified is False
-        elif kind == "drop":
-            ok = bool(dropped)
-        elif kind == "verdict":
-            ok = verdicts is not None and all(v == want for v in verdicts)
-        else:
-            ok = verdicts is not None and want in verdicts
-        if not ok:
-            failed.append(token)
+def _divide_holds(results: list[tuple[bool, bool]]) -> dict[str, bool]:
+    """Whether each divide --expect token holds, given each experiment's
+    (certified, dropped) pair: certified and drop when every experiment has
+    them, not-certified when some experiment is not certified. With no
+    experiment, none holds."""
+    return {
+        "certified": bool(results) and all(c for c, _ in results),
+        "not-certified": any(not c for c, _ in results),
+        "drop": bool(results) and all(d for _, d in results),
+    }
+
+
+_EXPECT_HOLDS = {"dim": _dim_holds, "divide": _divide_holds}
+
+
+def _check_expect(expect: list[str], holds: dict[str, bool]) -> int:
+    failed = [token for token in expect if not holds[token]]
     if failed:
         print(f"expectation failed: {', '.join(failed)}")
         return 1
@@ -583,8 +575,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             cfg = load_config(args.config)
             return cmd_schedule(cfg, args.count)
         if args.command in ("dim", "divide"):
+            known = _EXPECT_HOLDS[args.command]([])  # every token, none holding
             for token in args.expect:  # refused before any work
-                if token not in EXPECT_TOKENS[args.command]:
+                if token not in known:
                     raise ConfigError(f"unknown --expect token {token!r} for {args.command}")
             cfg = load_config(args.config)
             window, bound = _comparator(

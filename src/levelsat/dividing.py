@@ -326,9 +326,10 @@ def _family_has_k_sharing(family: list[tuple[int, ...]], k: int) -> bool:
 class CoveringReport:
     """Evidence that the covering bound holds on a ground set of s_size
     points split into K parts: counting certificate, a literal enumeration
-    when small enough, seeded random families, and the tight family one
-    below the bound when K divides s_size. counterexample is the first
-    enumerated or sampled family of L members with no point in k of them."""
+    when small enough, else seeded random families (none after an
+    enumeration), and the tight family one below the bound when K divides
+    s_size. counterexample is the first enumerated or sampled family of L
+    members with no point in k of them."""
 
     s_size: int
     K: int
@@ -351,13 +352,7 @@ class CoveringReport:
         )
 
 
-def covering_check(
-    s_size: int,
-    K: int,
-    k: int,
-    *,
-    seed: int = 0,
-) -> CoveringReport:
+def covering_check(s_size: int, K: int, k: int) -> CoveringReport:
     """Verify the covering bound on {0, .., s_size - 1} with part size
     m = ceil(s_size / K).
 
@@ -367,8 +362,9 @@ def covering_check(
     s_size gives L m = (k - 1) K m + m > (k - 1) s_size. The literal
     enumeration, when the multiset space is small, re-checks the statement
     with no reduction at all (a counterexample family of larger subsets
-    restricts to one of exact size m, so size m is enough); seeded random
-    families probe the larger spaces."""
+    restricts to one of exact size m, so size m is enough); random families,
+    seeded 0, probe the larger spaces in its place, since after a full
+    enumeration they could only draw families it already checked."""
     if s_size < 1:
         raise ValueError("need at least one point")
     L = covering_bound(K, k)
@@ -376,7 +372,7 @@ def covering_check(
     max_family = (k - 1) * s_size // m
 
     n_subsets = math.comb(s_size, m)
-    literal_checked = 0
+    literal_checked = samples_checked = 0
     if math.comb(n_subsets + L - 1, L) <= _LITERAL_CAP:
         all_subsets = list(itertools.combinations(range(s_size), m))
         for fam in itertools.combinations_with_replacement(all_subsets, L):
@@ -386,17 +382,16 @@ def covering_check(
                     0, None, False,
                 )
             literal_checked += 1
-
-    rng = random.Random(seed)
-    samples_checked = 0
-    for _ in range(_SAMPLES):
-        fam = [tuple(sorted(rng.sample(range(s_size), m))) for _ in range(L)]
-        if not _family_has_k_sharing(fam, k):
-            return CoveringReport(
-                s_size, K, k, m, L, max_family, tuple(fam), literal_checked,
-                samples_checked, None, False,
-            )
-        samples_checked += 1
+    else:
+        rng = random.Random(0)
+        for _ in range(_SAMPLES):
+            fam = [tuple(sorted(rng.sample(range(s_size), m))) for _ in range(L)]
+            if not _family_has_k_sharing(fam, k):
+                return CoveringReport(
+                    s_size, K, k, m, L, max_family, tuple(fam), literal_checked,
+                    samples_checked, None, False,
+                )
+            samples_checked += 1
 
     sharp: Optional[tuple[tuple[int, ...], ...]] = None
     sharp_ok = True

@@ -38,3 +38,8 @@ def iset30():
 @pytest.fixture(scope="session")
 def rado30():
     return build_chain(get_plugin("random_graph"), 30)
+
+
+@pytest.fixture(scope="session")
+def henson30():
+    return build_chain(get_plugin("henson_triangle_free"), 30)

@@ -11,7 +11,7 @@ import yaml
 from levelsat import cli
 from levelsat.cli import build_set, load_config
 from levelsat.construction import InternalFaultError, load_chain
-from levelsat.dimension import read_trend_csv
+from levelsat.dimension import VERDICTS, read_trend_csv
 from levelsat.evaluator import solutions
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -183,6 +183,58 @@ def test_dim_verdict_expect_fails_with_no_comparisons(equiv_build, tmp_path, tok
     )
     assert proc.returncode == 1
     assert f"expectation failed: {', '.join(tokens)}" in proc.stdout
+
+
+EQUIV_DOC = yaml.safe_load((CONFIGS / "equivalence_drop.yaml").read_text())
+NEGATED = {**EQUIV_DOC["dividing"][0], "name": "negated", "phi": "!E(x0, y0)"}
+EXPECT_TABLE = {
+    "dim": (
+        tuple(f"{kind}={v}" for kind in ("verdict", "any-verdict") for v in VERDICTS),
+        {
+            "no-comparisons": ({"comparisons": []}, set()),
+            "diverges": ({}, {"verdict=DivergesNeg", "any-verdict=DivergesNeg"}),
+            "diverges-and-bounded": (
+                {"comparisons": [["class_of_b", "ambient"], ["ambient", "ambient"]]},
+                {"any-verdict=DivergesNeg", "any-verdict=Bounded"},
+            ),
+        },
+    ),
+    "divide": (
+        ("certified", "not-certified", "drop"),
+        {
+            "no-experiments": ({"dividing": []}, set()),
+            "certified-drop": ({}, {"certified", "drop"}),
+            "one-uncertified": (
+                {"dividing": EQUIV_DOC["dividing"] + [NEGATED]}, {"not-certified"},
+            ),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [(command, case) for command, (_, cases) in EXPECT_TABLE.items() for case in cases],
+)
+def test_expect_truth_table(equiv_build, tmp_path, command, case):
+    """Each --expect token alone exits 0 exactly when it holds: verdict=V
+    when every comparison reads V, any-verdict=V when some does; certified
+    and drop when every experiment has them, not-certified when some
+    experiment is not certified; and no token with nothing to judge."""
+    out, _ = equiv_build
+    tokens, cases = EXPECT_TABLE[command]
+    edits, holding = cases[case]
+    cfg = tmp_path / "case.yaml"
+    cfg.write_text(yaml.safe_dump({**EQUIV_DOC, **edits}))
+    codes = {
+        token: cli.main([
+            command, "--config", str(cfg),
+            "--chain", str(out / "generic_equivalence.chain.json"),
+            "--out-dir", str(tmp_path / "out"), "--expect", token,
+        ])
+        for token in tokens
+    }
+    assert codes == {token: 0 if token in holding else 1 for token in tokens}
 
 
 def test_divide_command_certifies_and_surveys(equiv_build, tmp_path):

@@ -61,6 +61,17 @@ def test_covering_certificate_inequality():
                 assert covering_bound(K, k) * m > (k - 1) * s, (s, K, k)
 
 
+def test_covering_check_samples_only_what_it_cannot_enumerate():
+    """Random families are drawn only where the literal enumeration is too
+    large: after a full enumeration they could only re-check its families."""
+    for K in range(1, 5):
+        for k in range(1, 5):
+            for s in range(1, 13):
+                rep = covering_check(s, K, k)
+                expected = 0 if rep.literal_checked > 0 else dividing._SAMPLES
+                assert rep.samples_checked == expected, (s, K, k)
+
+
 def test_covering_check_small_sharp():
     rep = covering_check(4, 2, 2)
     assert rep.ok
@@ -330,6 +341,46 @@ def test_random_graph_drops_are_never_certified(rado30):
     assert flagged is None or certify_dividing(
         RADO, rado30, phi, (), flagged.instance, k=2, L=3
     ) is None
+
+
+# chain, phi, (DivergesNeg, compared) at caps omega, omega+2 and omega+3,
+# late candidates at cap omega, certified at every tried (k, L)
+NOISE = [
+    ("equiv30", "E(x0, y0)", ((36, 60), (12, 60), (4, 60)), 32, True),
+    ("equiv60", "E(x0, y0)", ((24, 116), (0, 116), (0, 116)), 0, True),
+    ("rado30", "R(x0, y0)", ((15, 45), (45, 45), (45, 45)), 512, False),
+    ("henson30", "R(x0, y0)", ((13, 32), (32, 32), (32, 32)), 205, False),
+    ("iset30", "!(x0 = y0)", ((0, 4), (0, 4), (0, 4)), 0, False),
+]
+
+
+@pytest.mark.parametrize(
+    "source, text, counts, late, certified", NOISE, ids=[row[0] for row in NOISE]
+)
+def test_drop_survey_noise_is_pinned(request, source, text, counts, late, certified):
+    """The survey's DivergesNeg counts for b the first fin1 element against
+    the ambient set, pinned so that a change that moves the noise shows. The
+    graph controls drop without dividing, so the certificate separates, not
+    the drop; and every certified row drops at cap omega."""
+    chain = request.getfixturevalue(source)
+    plugin = get_plugin(chain.plugin_name)
+    M = chain.final
+    b = min(e for e in M.universe if M.level_of(e) == fin(1))
+    phi = parse(text, plugin.signature)
+    reports = [
+        find_dimension_drop(
+            chain,
+            DefinableSet(parse("x0 = x0", plugin.signature), ("x0",), (), omega_plus(n)),
+            phi, (), (b,), window=10, bound=2.0, seed=0,
+        )
+        for n in (0, 2, 3)
+    ]
+    assert tuple((len(r.diverging), len(r.entries)) for r in reports) == counts
+    assert len(reports[0].skipped_late) == late
+    tried = [certify_dividing(plugin, chain, phi, (), (b,), k, L) is not None
+             for k, L in ((2, 3), (3, 5), (4, 8))]
+    assert tried == [certified] * 3
+    assert reports[0].any_diverges_neg or not certified
 
 
 @pytest.mark.parametrize("name", sorted(PLUGINS))
