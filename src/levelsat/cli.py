@@ -113,16 +113,6 @@ def _shaped(value, kind: type, what: str):
     return value
 
 
-def _comparator(window, bound) -> tuple[int, float]:
-    """The comparator's window and bound, from the config or an override.
-    A bool is no number here, although Python counts true as the int 1."""
-    if type(window) is not int or window < 2:
-        raise ConfigError("comparator window must be an integer >= 2")
-    if type(bound) not in (int, float) or not (math.isfinite(bound) and bound > 0):
-        raise ConfigError("comparator bound must be a finite positive number")
-    return window, float(bound)
-
-
 def _file_name(name, what: str) -> str:
     """A set or experiment name, which output file names are made from:
     text, with no path separator, and not empty, . or .."""
@@ -166,7 +156,14 @@ def load_config(path: str) -> Config:
         raise ConfigError("horizon must be a positive integer")
     comp = _shaped(doc.get("comparator"), dict, "comparator")
     _known(comp, "window bound", "comparator")
-    window, bound = _comparator(comp.get("window", 10), comp.get("bound", 2.0))
+    # type() and not isinstance(): a bool is no number here, although
+    # Python counts true as the int 1
+    window = comp.get("window", 10)
+    if type(window) is not int or window < 2:
+        raise ConfigError("comparator window must be an integer >= 2")
+    bound = comp.get("bound", 2.0)
+    if type(bound) not in (int, float) or not (math.isfinite(bound) and bound > 0):
+        raise ConfigError("comparator bound must be a finite positive number")
 
     def parse_formula(text) -> Formula:
         if not isinstance(text, str):
@@ -251,7 +248,7 @@ def load_config(path: str) -> Config:
         )
 
     return Config(
-        name, stages, kind, horizon, window, bound,
+        name, stages, kind, horizon, window, float(bound),
         sets, tuple(comparisons), tuple(dividing),
     )
 
@@ -310,10 +307,8 @@ def _write(path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
-def cmd_build(cfg: Config, out_dir: Path, stages: Optional[int]) -> int:
-    n = cfg.stages if stages is None else stages
-    if n < 0:
-        raise ConfigError("stages must be a nonnegative integer")
+def cmd_build(cfg: Config, out_dir: Path) -> int:
+    n = cfg.stages
     chain = build_chain(get_plugin(cfg.plugin), n, schedule=_schedule_for(cfg, n))
     final = chain.final
     print(
@@ -326,9 +321,8 @@ def cmd_build(cfg: Config, out_dir: Path, stages: Optional[int]) -> int:
     return 0
 
 
-def cmd_schedule(cfg: Config, count: Optional[int]) -> int:
-    n = 20 if count is None else count
-    for e in _schedule_for(cfg, n)[:n]:
+def cmd_schedule(cfg: Config, count: int) -> int:
+    for e in _schedule_for(cfg, count):
         print(
             f"{e.position:4d}  {e.level.render():<8} "
             f"x={','.join(e.x_vars) or '-'} y={','.join(e.y_vars) or '-'}  {e.formula}"
@@ -350,19 +344,16 @@ def _load_chain_file(path: str, plugin: Optional[str] = None) -> StageChain:
     return chain
 
 
-def cmd_dim(
-    cfg: Config, chain: StageChain, window: int, bound: float, out_dir: Path,
-    expect: list[str],
-) -> int:
+def cmd_dim(cfg: Config, chain: StageChain, out_dir: Path, expect: list[str]) -> int:
     final = chain.final
-    report = {"window": window, "bound": bound, "comparisons": []}
+    report = {"window": cfg.window, "bound": cfg.bound, "comparisons": []}
     # every comparison is made before the first line is printed or written,
     # so a bad one leaves no output behind
     results = []
     for left, right in cfg.comparisons:
         t1 = trend(chain, build_set(cfg.sets[left], final), label=left)
         t2 = trend(chain, build_set(cfg.sets[right], final), label=right)
-        results.append((left, right, t1, t2, dim_compare(t1, t2, window, bound)))
+        results.append((left, right, t1, t2, dim_compare(t1, t2, cfg.window, cfg.bound)))
     for left, right, t1, t2, res in results:
         print(f"{left} vs {right}: {res.verdict} ({res.evidence})")
         csv1 = out_dir / f"{left}.csv"
@@ -373,7 +364,7 @@ def cmd_dim(
         _write(
             plot,
             trend_plot_svg(
-                [t1, t2], window=window,
+                [t1, t2], window=cfg.window,
                 caption=f"{left} vs {right}: {res.verdict}",
             ),
         )
@@ -395,17 +386,11 @@ def cmd_dim(
 
 
 def cmd_divide(
-    cfg: Config,
-    chain: StageChain,
-    window: int,
-    bound: float,
-    seed: int,
-    out_dir: Path,
-    expect: list[str],
+    cfg: Config, chain: StageChain, seed: int, out_dir: Path, expect: list[str]
 ) -> int:
     plugin = get_plugin(cfg.plugin)
     final = chain.final
-    report = {"window": window, "bound": bound, "seed": seed, "experiments": []}
+    report = {"window": cfg.window, "bound": cfg.bound, "seed": seed, "experiments": []}
     # every experiment runs before the first line is printed or written, so
     # a bad one leaves no output behind
     results = []
@@ -417,7 +402,8 @@ def cmd_divide(
             plugin, chain, spec.phi, a_ids, b_ids, spec.k, spec.L, seed=seed
         )
         drop = find_dimension_drop(
-            chain, psi, spec.phi, a_ids, b_ids, window=window, bound=bound, seed=seed
+            chain, psi, spec.phi, a_ids, b_ids,
+            window=cfg.window, bound=cfg.bound, seed=seed,
         )
         results.append((spec, a_ids, b_ids, witness, drop))
     for spec, a_ids, b_ids, witness, drop in results:
@@ -540,23 +526,18 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p_build = sub.add_parser("build", help="build and serialize a chain")
     common(p_build)
-    p_build.add_argument("--stages", type=int, help="override the config's stage count")
 
     p_sched = sub.add_parser("schedule", help="print schedule entries")
     p_sched.add_argument("--config", required=True)
-    p_sched.add_argument("--count", type=int, help="how many entries (default 20)")
+    p_sched.add_argument("--count", type=int, default=20, help="how many entries")
 
     p_dim = sub.add_parser("dim", help="trend comparisons against a chain")
     common(p_dim, chain=True)
-    p_dim.add_argument("--window", type=int, help="override comparator window")
-    p_dim.add_argument("--bound", type=float, help="override comparator bound")
     p_dim.add_argument("--expect", action="append", default=[],
                        help="verdict=<V> or any-verdict=<V>; exit 1 if unmet")
 
     p_div = sub.add_parser("divide", help="dividing experiments against a chain")
     common(p_div, chain=True)
-    p_div.add_argument("--window", type=int)
-    p_div.add_argument("--bound", type=float)
     p_div.add_argument("--seed", type=int, default=0,
                        help="seed for candidate subsampling")
     p_div.add_argument("--expect", action="append", default=[],
@@ -570,7 +551,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.command == "build":
             cfg = load_config(args.config)
-            return cmd_build(cfg, Path(args.out_dir), args.stages)
+            return cmd_build(cfg, Path(args.out_dir))
         if args.command == "schedule":
             cfg = load_config(args.config)
             return cmd_schedule(cfg, args.count)
@@ -580,16 +561,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                 if token not in known:
                     raise ConfigError(f"unknown --expect token {token!r} for {args.command}")
             cfg = load_config(args.config)
-            window, bound = _comparator(
-                cfg.window if args.window is None else args.window,
-                cfg.bound if args.bound is None else args.bound,
-            )
             chain = _load_chain_file(args.chain, cfg.plugin)
             if args.command == "dim":
-                return cmd_dim(cfg, chain, window, bound, Path(args.out_dir), args.expect)
-            return cmd_divide(
-                cfg, chain, window, bound, args.seed, Path(args.out_dir), args.expect
-            )
+                return cmd_dim(cfg, chain, Path(args.out_dir), args.expect)
+            return cmd_divide(cfg, chain, args.seed, Path(args.out_dir), args.expect)
         if args.command == "export":
             chain = _load_chain_file(args.chain)
             stem = Path(args.chain).name.split(".")[0]

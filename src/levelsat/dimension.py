@@ -100,7 +100,7 @@ class DimCompareResult:
 
 
 def dim_compare(
-    t1: DimTrend, t2: DimTrend, window: int = 10, bound: float = 2.0
+    t1: DimTrend, t2: DimTrend, window: int, bound: float
 ) -> DimCompareResult:
     """Compare log-count gaps d = log c1 - log c2 over the final `window`
     stages.

@@ -1,17 +1,23 @@
 """Dividing certificates, the dimension-drop survey, and the covering bound.
 
-A formula phi(x-bar; y-bar) divides along the type of b-bar when some family
-of instances phi(x-bar; c-bar_i), all c-bar_i of the same quantifier-free
+A formula phi(x-bar; y-bar) divides along the type of b-bar when some
+infinite family of instances phi(x-bar; c-bar_i), all c-bar_i of the same
 type as b-bar over the fixed parameters, is k-inconsistent: no k of them are
-jointly realizable. Joint unrealizability is decided by the theory oracle,
-and since it depends only on the quantifier-free type of the parameters
-involved, a certificate obtained at one stage stays valid in every later or
-extended structure. For the same reason certify_dividing asks the oracle
-once per atomic diagram of a k-subset's parameters; every later subset with
-that diagram reads the answer from a memo kept for the one call.
+jointly realizable. certify_dividing checks a finite form of this: L
+instances of b-bar's quantifier-free type over a-bar whose k-subsets the
+oracle refuses. Joint unrealizability depends only on the quantifier-free
+type of the parameters involved, so such a family stays k-inconsistent in
+every later or extended structure, and certify_dividing asks the oracle once
+per atomic diagram of a k-subset's parameters; every later subset with that
+diagram reads the answer from a memo kept for the one call.
 
-certify_dividing is sound but not complete: a None return means this search
-did not find a certificate, not that none exists.
+Finite k-inconsistency is not dividing, and the instances may share
+elements, so a certificate does not show that phi divides. On the 30-stage
+henson_triangle_free chain the search certifies R(x0, y0) & !R(x0, y1) over
+the non-edge (0, 4) at (k, L) = (2, 3) and (3, 5), and that formula does not
+divide (ROADMAP item 1; pinned by test_henson_split_pair_is_not_certified).
+Nor is the search complete: a None return means it found no certificate,
+not that none exists.
 """
 
 from __future__ import annotations
@@ -261,8 +267,8 @@ def find_dimension_drop(
     a_ids: tuple[int, ...],
     b_ids: tuple[int, ...],
     *,
-    window: int = 10,
-    bound: float = 2.0,
+    window: int,
+    bound: float,
     seed: int = 0,
 ) -> DropReport:
     """Compare the growth of phi(x; c) against the ambient set psi for every

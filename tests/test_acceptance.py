@@ -235,6 +235,8 @@ def test_non_dividing_controls(iset30, rado30):
         parse("!(x0 = y0)", iplug.signature),
         (),
         (_first_at_fin1(iset30.final),),
+        window=10,
+        bound=2.0,
     )
     assert rep.entries, "no candidates compared"
     assert all(e.result.verdict == BOUNDED for e in rep.entries)

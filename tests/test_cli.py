@@ -1,6 +1,7 @@
 """End-to-end command line runs, exercised through subprocess."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -84,10 +85,6 @@ def test_negative_schedule_count_is_a_usage_error(tmp_path, kind):
     assert proc.returncode == 2
     assert "count must be >= 0" in proc.stderr
     assert proc.stdout == "" and "Traceback" not in proc.stderr
-    proc = run_cli("build", "--config", cfg, "--stages", -1, "--out-dir", tmp_path / "out")
-    assert proc.returncode == 2
-    assert "stages must be a nonnegative integer" in proc.stderr
-    assert not (tmp_path / "out").exists()
 
 
 def test_dim_command_flags_the_drop(equiv_build, tmp_path):
@@ -665,18 +662,23 @@ def test_unknown_expect_token(equiv_build, tmp_path):
     "where, key, value",
     [
         (None, "stages", True),
+        (None, "stages", -1),
         (None, "horizon", True),
         ("dividing", "k", True),
         ("dividing", "L", True),
         ("comparator", "window", True),
+        ("comparator", "window", 1),
         ("comparator", "bound", True),
         ("comparator", "bound", float("nan")),
         ("comparator", "bound", float("inf")),
         ("comparator", "bound", 0),
+        ("comparator", "bound", -1),
     ],
 )
 def test_config_numbers_must_be_plain(tmp_path, where, key, value):
-    """A bool is no count, and the bound is a finite positive number."""
+    """A bool is no count, stages is nonnegative, the window is at least 2
+    and the bound is a finite positive number. The error names the key and
+    comes before any output."""
     doc = yaml.safe_load((CONFIGS / "equivalence_drop.yaml").read_text())
     if where == "dividing":
         doc["dividing"][0][key] = value
@@ -686,30 +688,50 @@ def test_config_numbers_must_be_plain(tmp_path, where, key, value):
         doc[key] = value
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(yaml.safe_dump(doc))
-    proc = run_cli("schedule", "--config", cfg, "--count", 1)
+    proc = run_cli("build", "--config", cfg, "--out-dir", tmp_path / "out")
     assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
+    assert key in proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["dim", "divide"])
 @pytest.mark.parametrize(
-    "flag, value", [("--bound", 0), ("--bound", -1), ("--bound", "nan"),
-                    ("--bound", "inf"), ("--window", 1)],
+    "command, flag, value",
+    [("build", "--stages", 5), ("dim", "--window", 5), ("dim", "--bound", 1),
+     ("divide", "--window", 5), ("divide", "--bound", 1)],
 )
-def test_comparator_overrides_are_checked(equiv_build, tmp_path, command, flag, value):
-    """The overrides pass the config's own comparator check, before any
-    output is written."""
+def test_settings_come_only_from_the_config(equiv_build, tmp_path, command, flag, value):
+    """The stage count, window and bound have no command-line flag: one
+    given is a usage error, before any output is written."""
     out, _ = equiv_build
+    chain = () if command == "build" else ("--chain", out / "generic_equivalence.chain.json")
     proc = run_cli(
         command,
         "--config", CONFIGS / "equivalence_drop.yaml",
-        "--chain", out / "generic_equivalence.chain.json",
+        *chain,
         "--out-dir", tmp_path / "out",
         flag, value,
     )
     assert proc.returncode == 2
-    assert "comparator" in proc.stderr
+    assert f"unrecognized arguments: {flag}" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_each_command_takes_only_its_options(capsys):
+    """Each command's --help lists its options and no more."""
+    expected = {
+        "build": ["--config", "--out-dir"],
+        "schedule": ["--config", "--count"],
+        "dim": ["--config", "--chain", "--out-dir", "--expect"],
+        "divide": ["--config", "--chain", "--out-dir", "--seed", "--expect"],
+        "export": ["--chain", "--out-dir"],
+    }
+    for command, options in expected.items():
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", capsys.readouterr().out, re.M)
+        assert listed == ["--help", *options]
 
 
 def _set_split(split):

@@ -147,7 +147,9 @@ def test_stamped_reads_leave_the_replay_unbuilt():
     chain = build_chain(EQUIV, 12)
     trend(chain, AMBIENT)
     trend(chain, CLASS_B)
-    find_dimension_drop(chain, AMBIENT, parse("E(x0, y0)", ESIG), (), (3,))
+    find_dimension_drop(
+        chain, AMBIENT, parse("E(x0, y0)", ESIG), (), (3,), window=10, bound=2.0
+    )
     assert "stages" not in vars(chain)
     trend(chain, LONELY)
     assert "stages" in vars(chain)
@@ -194,12 +196,12 @@ def test_none_marks_empty_stages_never_a_float():
 def test_comparator_input_validation():
     t = _flat([1] * 20)
     with pytest.raises(ValueError):
-        dim_compare(t, t, window=1)
+        dim_compare(t, t, window=1, bound=2.0)
     with pytest.raises(ValueError):
-        dim_compare(t, _flat([1] * 19), window=5)  # ends differ
+        dim_compare(t, _flat([1] * 19), window=5, bound=2.0)  # ends differ
     late = _flat([1] * 5, start=15)
     with pytest.raises(ValueError):
-        dim_compare(late, t, window=10)  # window not covered
+        dim_compare(late, t, window=10, bound=2.0)  # window not covered
 
 
 _SWAP = {

@@ -27,6 +27,8 @@ ISET = get_plugin("infinite_set")
 OMEGA = omega_plus(0)
 
 E_PHI = parse("E(x0, y0)", EQUIV.signature)
+# the comparator every bundled config uses
+COMPARATOR = {"window": 10, "bound": 2.0}
 
 
 def _ambient(sig):
@@ -164,6 +166,23 @@ def test_no_certificate_on_random_graph(rado30):
     assert certify_dividing(RADO, rado30, phi, (), (b,), k=2, L=3) is None
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: the certificate checks finite k-inconsistency of "
+    "instances that may share elements, not dividing",
+)
+@pytest.mark.parametrize("k, L", [(2, 3), (3, 5)])
+def test_henson_split_pair_is_not_certified(henson30, k, L):
+    """Over a non-edge b, R(x0, y0) & !R(x0, y1) does not divide in the
+    Henson graph: in an indiscernible sequence of b's type the b0's are
+    pairwise non-adjacent and no b0 is a b1, so some vertex is joined to
+    every b0 and to no b1. The search certifies it all the same, with the
+    family ((0, 4), (1, 4), (2, 1)) at (2, 3), whose instances share 1 and 4."""
+    plugin = get_plugin("henson_triangle_free")
+    phi = parse("R(x0, y0) & !R(x0, y1)", plugin.signature)
+    assert certify_dividing(plugin, henson30, phi, (), (0, 4), k, L) is None
+
+
 def test_certify_input_validation(equiv30):
     with pytest.raises(ValueError):
         certify_dividing(EQUIV, equiv30, E_PHI, (0,), (3,), k=2, L=3)
@@ -274,7 +293,7 @@ def test_one_oracle_call_per_atomic_diagram(rado30, monkeypatch, k):
 
 
 def test_drop_survey_on_equivalence_chain(equiv30):
-    rep = find_dimension_drop(equiv30, _ambient(EQUIV.signature), E_PHI, (), (3,))
+    rep = find_dimension_drop(equiv30, _ambient(EQUIV.signature), E_PHI, (), (3,), **COMPARATOR)
     assert rep.candidates_total == 92
     assert len(rep.skipped_late) == 32
     verdicts = [e.result.verdict for e in rep.entries]
@@ -285,7 +304,7 @@ def test_drop_survey_on_equivalence_chain(equiv30):
 
 
 def test_drop_ranking_prefers_empty_window_stages(equiv30):
-    rep = find_dimension_drop(equiv30, _ambient(EQUIV.signature), E_PHI, (), (3,))
+    rep = find_dimension_drop(equiv30, _ambient(EQUIV.signature), E_PHI, (), (3,), **COMPARATOR)
     best = rep.best
     assert best is not None
     assert best.instance == (4,)
@@ -299,7 +318,7 @@ def test_drop_requires_subset(equiv30):
     psi = DefinableSet(E_PHI, ("x0",), (("y0", 3),), OMEGA)
     phi = parse("x0 = x0 & y0 = y0", EQUIV.signature)
     with pytest.raises(ValueError):
-        find_dimension_drop(equiv30, psi, phi, (), (4,))
+        find_dimension_drop(equiv30, psi, phi, (), (4,), **COMPARATOR)
 
 
 def test_base_check_starts_when_psi_exists(equiv30):
@@ -308,13 +327,13 @@ def test_base_check_starts_when_psi_exists(equiv30):
     lies inside psi there."""
     psi = DefinableSet(parse("E(x0, z0)", EQUIV.signature), ("x0",), (("z0", 3),), OMEGA)
     assert (equiv30.stage_of([2]), equiv30.stage_of([3])) == (4, 8)
-    rep = find_dimension_drop(equiv30, psi, E_PHI, (), (2,))
+    rep = find_dimension_drop(equiv30, psi, E_PHI, (), (2,), **COMPARATOR)
     assert (rep.base_trend.start_stage, rep.psi_trend.start_stage) == (4, 8)
 
 
 def test_drop_trivial_when_phi_is_everything(equiv30):
     phi = parse("x0 = x0 & y0 = y0", EQUIV.signature)
-    rep = find_dimension_drop(equiv30, _ambient(EQUIV.signature), phi, (), (3,))
+    rep = find_dimension_drop(equiv30, _ambient(EQUIV.signature), phi, (), (3,), **COMPARATOR)
     assert not rep.any_diverges_neg
     assert rep.best is None
     assert all(e.result.verdict == BOUNDED for e in rep.entries)
@@ -324,7 +343,7 @@ def test_drop_trivial_when_phi_is_everything(equiv30):
 def test_no_drop_on_infinite_set_control(iset30):
     phi = parse("!(x0 = y0)", ISET.signature)
     b = min(e for e in iset30.final.universe if iset30.final.level_of(e) == fin(1))
-    rep = find_dimension_drop(iset30, _ambient(ISET.signature), phi, (), (b,))
+    rep = find_dimension_drop(iset30, _ambient(ISET.signature), phi, (), (b,), **COMPARATOR)
     assert rep.entries
     assert all(e.result.verdict == BOUNDED for e in rep.entries)
 
@@ -335,7 +354,7 @@ def test_random_graph_drops_are_never_certified(rado30):
     k-inconsistent, so certification refuses every flagged candidate."""
     phi = parse("R(x0, y0)", RADO.signature)
     b = min(e for e in rado30.final.universe if rado30.final.level_of(e) == fin(1))
-    rep = find_dimension_drop(rado30, _ambient(RADO.signature), phi, (), (b,))
+    rep = find_dimension_drop(rado30, _ambient(RADO.signature), phi, (), (b,), **COMPARATOR)
     assert rep.entries
     flagged = rep.best
     assert flagged is None or certify_dividing(
@@ -398,7 +417,7 @@ def test_drop_survey_skips_exactly_the_late_trends(chains12, name):
     assert births
     for start in (births[0], births[-1]):
         window = chain.n_stages - start + 1
-        rep = find_dimension_drop(chain, psi, phi, (), (b,), window=window)
+        rep = find_dimension_drop(chain, psi, phi, (), (b,), window=window, bound=2.0)
         pool = sorted(rep.skipped_late + tuple(e.instance for e in rep.entries))
         assert len(pool) == rep.candidates_total
         late = {
