@@ -8,9 +8,16 @@ V_alpha (snapshot taken when the entry's turn starts, lexicographic order):
 
   case 1: some witness for phi(a-bar, y-bar) already lies inside V_{alpha+1};
           the structure is unchanged and the tuple is only counted. A turn
-          asks this of one witness test (evaluator.witnessed), made again
-          after each case-2 step: only case 2 changes M, so every answer is
-          find_witness's on the current M.
+          settles whole rows, the tuples that share a-bar's first parameter,
+          by the row rule (evaluator.row_witnessed), and asks one witness
+          test (evaluator.witnessed) per tuple of the other rows: the rule
+          settles E(x0, y0) & !(y0 = x0) & !(y0 = x1) for every x1 once x0's
+          class in V_{alpha+1} has two members besides x0. A settled row
+          needs no re-check: its tuples are all case 1, so M does not change
+          inside it. Rule and test are made again after each case-2 step:
+          only case 2 changes M, so every answer is find_witness's on the
+          current M. A turn whose V_alpha has not grown since its last costs
+          one comparison.
   case 2: no internal witness, but the theory oracle can realize phi in an
           extension; its witness is applied, new elements entering at exactly
           alpha+1, old witness components restricted to V_{alpha+1} so the
@@ -58,7 +65,7 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import Iterable, Optional
 
-from .evaluator import diag_key, diagram, evaluate, find_witness, witnessed
+from .evaluator import diag_key, diagram, evaluate, find_witness, row_witnessed, witnessed
 from .formula import (
     Eq,
     Formula,
@@ -189,8 +196,9 @@ def build_stage(
     frontier maps an entry key to |V_alpha| at its previous turn; it is
     updated in place. Returns the new structure and the stage audit. prev
     is not changed: the stage grows one thawed copy of it in place, one
-    delta at a time, and freezes it at the end. Each turn asks case 1 of
-    one witness test, made again after each case-2 step changes M.
+    delta at a time, and freezes it at the end. A turn with nothing new
+    writes its audit at once; any other asks case 1 of the row rule and
+    the witness test, both made again after each case-2 step changes M.
 
     memo (a fresh dict when None) holds the oracle answers by (entry key,
     diag_key of a-bar, the order of a-bar's ids), as case 2 in the module
@@ -202,18 +210,25 @@ def build_stage(
         key = entry.key()
         alpha = entry.level
         succ = alpha.successor()
-        v_now = tuple(M.v_ids(alpha))
         seen = frontier.get(key)
         k = len(entry.x_vars)
         skipped = _skipped(seen, k)
+        if seen == len(M.v_ids(alpha)):
+            # nothing new since its last turn, which processed every tuple
+            audits.append(EntryAudit(entry.position, alpha, seen, skipped, 0, ()))
+            continue
+        v_now = tuple(M.v_ids(alpha))
         todo = itertools.product(v_now, repeat=k) if seen is None else _touching(v_now, seen, k)
-        internal, records = 0, []
-        has_witness = witnessed(M, entry.formula, entry.x_vars, entry.y_vars, succ)
+        records = []
+        query = (entry.formula, entry.x_vars, entry.y_vars, succ)
+        has_witness, settles = witnessed(M, *query), row_witnessed(M, *query)
+        row, settled = None, False
         # with min_new=1 and at most one slot, the oracle never reads its pool
         memoised = plugin.answer_fixed_by_diagram_and_order and len(entry.y_vars) <= 1
         for a_bar in todo:
-            if has_witness(a_bar):
-                internal += 1
+            if settles is not None and a_bar[0] != row:
+                row, settled = a_bar[0], settles(a_bar[0])
+            if settled or has_witness(a_bar):
                 continue
             ids = a_bar + tuple(range(M.max_id + 1, M.max_id + 1 + len(entry.y_vars)))
             slot = (key, diag_key(M, a_bar), _id_order(a_bar)) if memoised else None
@@ -236,7 +251,7 @@ def build_stage(
                 records.append(CaseRecord(a_bar, None))
                 continue
             M._extend(ext.delta)
-            has_witness = witnessed(M, entry.formula, entry.x_vars, entry.y_vars, succ)
+            has_witness, settles = witnessed(M, *query), row_witnessed(M, *query)
             wenv = dict(zip(entry.x_vars + entry.y_vars, a_bar + ext.witness))
             if not evaluate(M, entry.formula, wenv):
                 raise InternalFaultError(
@@ -246,6 +261,7 @@ def build_stage(
                 CaseRecord(a_bar, ext.witness, tuple(e for e, _ in ext.delta.new_elements))
             )
         v_size = frontier[key] = len(v_now)
+        internal = _internal(v_size, k, skipped, records)
         audits.append(EntryAudit(entry.position, alpha, v_size, skipped, internal, tuple(records)))
     return M._freeze(), StageAudit(stage, tuple(audits))
 
@@ -300,6 +316,11 @@ def _skipped(seen: Optional[int], k: int) -> int:
     entry's previous turn saw (None before its first turn) were processed
     then. New ids come last, so that V_alpha is a prefix of today's."""
     return 0 if seen is None else seen**k
+
+
+def _internal(v_size: int, k: int, skipped: int, records: list) -> int:
+    """Case-1 tuples: the k-tuples over V_alpha not skipped or recorded."""
+    return v_size**k - skipped - len(records)
 
 
 def _touching(ids: tuple[int, ...], p: int, k: int) -> Iterable[tuple[int, ...]]:
@@ -635,7 +656,7 @@ def chain_from_doc(doc: dict) -> StageChain:
                 watermark += len(rec.new_ids)
             frontier[keys[i]] = p
             # distinct processed tuples: never more than the tuples left
-            internal = p**k - skipped - len(records)
+            internal = _internal(p, k, skipped, records)
             entries.append(
                 EntryAudit(entry.position, entry.level, p, skipped, internal, tuple(records))
             )

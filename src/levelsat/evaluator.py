@@ -17,6 +17,13 @@ for each parameter tuple, so its kept candidate lists serve them all. The
 dividing pool, the tuples of b-bar's quantifier-free type over a-bar, is
 solutions() of b-bar's diagram (dividing._type_formula).
 
+row_witnessed() answers for a row, the tuples that share their first
+parameter x0, when one y slot's ties, relation avoids and checked conjuncts
+read no parameter but x0 and the later ones appear only in m avoids
+!(y = x_j). Each drops at most one value, so more than m hits over x0's kept
+list leave every tuple a witness: E(x0, y0) & !(y0 = x0) & !(y0 = x1) needs
+two classmates of x0.
+
 The stream's candidates (_candidates) narrow a slot y by the structure's
 neighbour index in two ways, through top-level conjuncts whose other
 variable is bound before y. A tie, R(v, y) or R(y, v), makes y range over
@@ -60,7 +67,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional
 
 from .formula import (
@@ -395,6 +402,33 @@ def witnessed(
         return lambda a_bar: any(test(a_bar) for test in tests)
     hits = _stream(structure, formula, x_vars, y_vars, cap)
     return lambda a_bar: next(hits(dict(zip(x_vars, a_bar))), None) is not None
+
+
+def row_witnessed(structure, formula, x_vars, y_vars, cap) -> Optional[Callable[[int], bool]]:
+    """settles(a0), from witnessed's arguments: whether the row rule (module
+    docstring) gives every a_bar with a_bar[0] == a0 a witness while the
+    structure is unchanged; None where it does not apply, as to one x."""
+    plan = _plan(formula, y_vars)
+    _check_bound(plan, x_vars)
+    if len(y_vars) != 1 or len(x_vars) < 2 or plan.branches:
+        return None
+    x0, reads = x_vars[0], {x_vars[0], y_vars[0]}
+    own = tuple(a for a in plan.avoid[0] if a[2] == x0)
+    later = [rel for rel, _, u in plan.avoid[0] if u != x0]
+    if any(v != x0 for _, _, v in plan.ties[0]) or any(rel is not None for rel in later):
+        return None
+    if any(not free_vars(part) <= reads for part in plan.untied[0] + plan.untied[1]):
+        return None
+    candidates, m = _candidates(structure, replace(plan, avoid=(own,)), cap), len(later)
+
+    def settles(a0: int) -> bool:
+        env, atom, domain = {x0: a0}, structure.has_fact, structure.v_ids
+        if any(truth(part, env, atom, domain) is False for part in plan.untied[0]):
+            return False
+        hits = _descend(0, env, y_vars, plan.untied, candidates, atom, domain)
+        return next(itertools.islice(hits, m, None), None) is not None
+
+    return settles
 
 
 def _atoms(

@@ -28,7 +28,7 @@ from levelsat.construction import (
     strongly_satisfies,
     verify_axioms_on_levels,
 )
-from levelsat.evaluator import diag_key, evaluate, find_witness, witnessed
+from levelsat.evaluator import diag_key, evaluate, find_witness, row_witnessed, witnessed
 from levelsat.formula import (
     ParseError,
     ScheduleEntry,
@@ -642,20 +642,106 @@ def test_build_chain_deterministic():
 def test_witness_test_matches_find_witness_on_every_entry(chains12, name):
     """On every stage of a bundled 12-stage chain, each schedule entry's
     witness test, made once, answers every parameter tuple over V_alpha as
-    a find_witness search per tuple does."""
+    a find_witness search per tuple does, and every tuple of a row that the
+    row rule settles has a find_witness witness. The plugin's AE axioms are
+    checked at each scheduled level too: the 12 entries do not reach
+    generic_equivalence's classmate_avoiding."""
     chain = chains12[name]
+    entries = chain.schedule[: chain.n_stages]
+    axioms = [(ax.formula, ax.x_vars, ax.y_vars) for ax in get_plugin(name).ae_axioms]
+    levels = sorted({e.level for e in entries})
+    entries += tuple(ScheduleEntry(*ax, level, 0) for ax in axioms for level in levels)
+    settled_rows = 0
     for M in chain.stages:
-        for entry in chain.schedule[: chain.n_stages]:
+        for entry in entries:
             f, xs, ys, succ = entry.formula, entry.x_vars, entry.y_vars, entry.level.successor()
-            test = witnessed(M, f, xs, ys, succ)
-            for a_bar in itertools.product(M.v_ids(entry.level), repeat=len(xs)):
+            test, settles = witnessed(M, f, xs, ys, succ), row_witnessed(M, f, xs, ys, succ)
+            v_alpha = M.v_ids(entry.level)
+            settled = {a0 for a0 in v_alpha if settles is not None and settles(a0)}
+            settled_rows += len(settled)
+            for a_bar in itertools.product(v_alpha, repeat=len(xs)):
                 want = find_witness(M, f, dict(zip(xs, a_bar)), ys, succ) is not None
                 assert test(a_bar) == want, (entry, a_bar)
+                assert want or a_bar[0] not in settled, (entry, a_bar)
+    assert settled_rows > 0 or name != "generic_equivalence"
+
+
+@pytest.mark.parametrize(
+    "name, text, applies",
+    [
+        ("generic_equivalence", "E(x0, y0) & !(y0 = x0) & !(y0 = x1)", True),
+        ("generic_equivalence", "E(x0, y0) & !(y0 = x1) & !(y0 = x2)", True),
+        ("infinite_set", "!(y0 = x0) & !(y0 = x1)", True),
+        # one parameter: a row is one tuple
+        ("generic_equivalence", "E(x0, y0) & !(y0 = x0)", False),
+        # a conjunct over a later parameter
+        ("generic_equivalence", "E(x0, y0) & !(x0 = x1)", False),
+        # relation avoids over a later parameter drop a class or neighbours
+        ("generic_equivalence", "E(x0, y0) & !E(x1, y0)", False),
+        ("random_graph", "R(x0, y0) & !R(x1, y0)", False),
+        # tied to a later parameter
+        ("random_graph", "R(x0, y0) & R(x1, y0)", False),
+        # a top-level Or
+        ("random_graph", "(R(x0, y0) & !(y0 = x1)) | R(x1, y0)", False),
+        # two slots
+        ("generic_equivalence", "!E(x0, y0) & !E(x0, y1) & !E(y0, y1) & !(y0 = x1)", False),
+    ],
+)
+def test_the_row_rule_applies_where_later_parameters_drop_one_value_each(name, text, applies):
+    """row_witnessed makes a rule exactly for one slot whose later
+    parameters appear only in avoids !(y0 = x_j), and is None otherwise."""
+    plugin = get_plugin(name)
+    entry = _entry(plugin, text, fin(0))
+    M = build_m0(plugin)
+    rule = row_witnessed(M, entry.formula, entry.x_vars, entry.y_vars, fin(1))
+    assert (rule is not None) == applies
+
+
+_ROW_SCHEDULES = {
+    # 1 in a class of its own, 2 in 0's; the m = 2 entry's row 0 has a class
+    # of m members at stage 3, whose case-2 step gives it m + 1; then a
+    # conjunct over a later parameter, which (0, 0) fails
+    "generic_equivalence": (
+        ("!E(x0, y0)", fin(0)),
+        ("E(x0, y0) & !(y0 = x0)", fin(0)),
+        ("E(x0, y0) & !(y0 = x1) & !(y0 = x2)", fin(1)),
+        ("E(x0, y0) & !(x0 = x1)", fin(1)),
+    ),
+    # 0 gets two neighbours, 1 and their common neighbour 2, so !R(x1, y0)
+    # drops both of 0's neighbours at (0, 0)
+    "random_graph": (
+        ("R(x0, y0)", fin(0)),
+        ("R(x0, y0) & R(x1, y0)", fin(1)),
+        ("R(x0, y0) & !R(x1, y0)", fin(1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_SCHEDULES))
+def test_crafted_row_schedule_matches_the_per_tuple_reference(name):
+    """A row with as many candidates as it has later equality avoids is not
+    settled, one with a candidate more is, and entries the rule does not
+    cover are tested per tuple: the build writes the reference's chain."""
+    plugin = get_plugin(name)
+    rows = _ROW_SCHEDULES[name]
+    schedule = tuple(_entry(plugin, text, level, pos) for pos, (text, level) in enumerate(rows))
+    chain = build_chain(plugin, len(schedule), schedule=schedule)
+    assert serialize_chain(chain) == serialize_chain(
+        reference_chain(plugin, len(schedule), schedule)
+    )
+    if name == "generic_equivalence":
+        e = schedule[2]
+        before, after = (
+            row_witnessed(M, e.formula, e.x_vars, e.y_vars, fin(2)) for M in chain.stages[2:4]
+        )
+        assert [sorted(M.neighbours("E", 0, 0)) for M in chain.stages[2:4]] == [[0, 2], [0, 2, 3]]
+        assert not before(0) and after(0)
 
 
 _LONG_BUILDS = {
     ("generic_equivalence", 30): "equiv30",
     ("generic_equivalence", 60): "equiv60",
+    ("infinite_set", 30): "iset30",
     ("random_graph", 30): "rado30",
 }
 
@@ -663,17 +749,21 @@ _LONG_BUILDS = {
 @pytest.mark.parametrize(
     "name, n",
     [(name, 12) for name in sorted(PLUGINS)]
-    # generic_equivalence 30, then the benchmark's three workload builds
+    # generic_equivalence 30, the benchmark's three workload builds, and every
+    # plugin past 12 stages
     + [
         ("generic_equivalence", 30),
         ("generic_equivalence", 60),
         ("random_graph", 30),
         ("henson_triangle_free", 36),
+        ("infinite_set", 30),
+        ("random_graph", 36),
     ],
 )
 def test_build_matches_the_per_tuple_reference(request, chains12, name, n):
-    """A build that asks case 1 of one witness test per turn writes the
-    same chain, byte for byte, as one find_witness search per tuple."""
+    """A build that settles rows by the row rule, skips idle turns and asks
+    case 1 of one witness test per turn otherwise writes the same chain,
+    byte for byte, as one find_witness search per tuple."""
     if n == 12:
         chain = chains12[name]
     elif (name, n) in _LONG_BUILDS:
@@ -745,6 +835,38 @@ def test_oracle_calls_are_pinned(name, n, calls):
     plugin = _counting(name)
     build_chain(plugin, n)
     assert plugin.calls == calls
+
+
+@pytest.mark.parametrize(
+    "name, n, tests",
+    [
+        ("random_graph", 30, 3035),
+        ("henson_triangle_free", 36, 2841),
+        ("generic_equivalence", 60, 4086),
+    ],
+)
+def test_case1_tests_are_pinned(monkeypatch, name, n, tests):
+    """Per-tuple witness tests of the benchmark's three workload builds. The
+    row rule settles most of generic_equivalence's classmate_avoiding rows
+    (34,950 tests without it) and none on the graphs."""
+    import levelsat.construction as construction
+
+    calls = 0
+    made = construction.witnessed
+
+    def counting(*args):
+        test = made(*args)
+
+        def counted(a_bar):
+            nonlocal calls
+            calls += 1
+            return test(a_bar)
+
+        return counted
+
+    monkeypatch.setattr(construction, "witnessed", counting)
+    build_chain(get_plugin(name), n)
+    assert calls == tests
 
 
 def test_a_memo_hit_is_rechecked():
