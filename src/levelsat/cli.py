@@ -129,9 +129,14 @@ def _known(spec: dict, keys: str, where: str) -> None:
             raise ConfigError(f"{where}: unknown key {key!r}")
 
 
+# libyaml's safe loader where PyYAML was built with it: the same documents,
+# parsed in C
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: str) -> Config:
     try:
-        doc = yaml.safe_load(Path(path).read_text())
+        doc = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}")
     except yaml.YAMLError as e:

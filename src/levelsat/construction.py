@@ -1,7 +1,7 @@
 """The staged construction: schedules in, audited stage chains out.
 
 Stage n takes the first n schedule entries, sorts them by level, then
-schedule position (the turn key _turn, made of builtins), and processes each
+schedule position (the turn key _turn), and processes each
 entry against the current structure.
 For an entry (phi, x-bar, y-bar, alpha) and each parameter tuple a-bar over
 V_alpha (snapshot taken when the entry's turn starts, lexicographic order):
@@ -304,11 +304,9 @@ def _instantiate(
     )
 
 
-def _turn(entry: ScheduleEntry) -> tuple[str, int, int]:
-    """A stage processes its entries by level, then by schedule position.
-    The key is (level.tag, level.index, position), builtins that order as
-    (level, position) does, LevelOrdinal comparing by those two fields."""
-    return entry.level.tag, entry.level.index, entry.position
+def _turn(entry: ScheduleEntry) -> tuple[LevelOrdinal, int]:
+    """A stage processes its entries by level, then by schedule position."""
+    return entry.level, entry.position
 
 
 def _skipped(seen: Optional[int], k: int) -> int:
@@ -452,9 +450,11 @@ def check_level_freeze(chain: StageChain) -> list[tuple[int, int, str, str]]:
     M, ends = chain.final, chain.ends
     for audit in chain.audits:
         for ea in audit.entries:
+            if not ea.records:
+                continue
+            expected = (ea.level.successor(), audit.stage)
             for rec in ea.records:
                 for e in rec.new_ids:
-                    expected = (ea.level.successor(), audit.stage)
                     actual = (M.level_of(e), bisect_right(ends, e)) if e in M else None
                     if actual != expected:
                         shown = _at(*actual) if actual else "absent"
@@ -615,7 +615,8 @@ def chain_from_doc(doc: dict) -> StageChain:
     if len(schedule) < n:
         raise ConstructionError(f"{n} stages need {n} schedule entries, got {len(schedule)}")
     vids = [final.v_ids(e.level) for e in schedule[:n]]
-    order: list[tuple[tuple[str, int, int], int]] = []  # (turn key, index), sorted
+    inside = {lv: frozenset(final.v_ids(lv)) for lv in {e.level for e in schedule[:n]}}
+    order: list[tuple[tuple[LevelOrdinal, int], int]] = []  # (turn key, index), sorted
     frontier: dict[int, int] = {}
     idle: list[Optional[EntryAudit]] = [None] * n  # per entry, shared by its idle turns
     M0 = build_m0(plugin)
@@ -644,7 +645,7 @@ def chain_from_doc(doc: dict) -> StageChain:
                 a = rec.a_tuple
                 if not (
                     len(a) == k
-                    and all(e <= top and final.level_of(e) <= entry.level for e in a)
+                    and all(e <= top and e in inside[entry.level] for e in a)
                     and (seen is None or max(a, default=-1) > floor)
                     and (not records or records[-1].a_tuple < a)
                 ):
@@ -708,7 +709,7 @@ def _schedule_from_doc(
             parsed[text] = (f, render(f))
         f, shown = parsed[text]
         entry = ScheduleEntry(f, tuple(xs), tuple(ys), parse_level(level), pos)
-        key = (shown, entry.x_vars, entry.y_vars, entry.level.tag, entry.level.index)
+        key = (shown, entry.x_vars, entry.y_vars, entry.level)
         keys.append(obligations.setdefault(key, len(obligations)))
         schedule.append(entry)
     return tuple(schedule), keys

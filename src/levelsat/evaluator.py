@@ -56,10 +56,12 @@ bindings, and an optional level cap. Solutions are tuples over V_cap,
 enumerated in lexicographic id order; counts are exact ints.
 
 A tuple's atomic diagram, the truth of each equality and relation atom over
-its positions, is enumerated in one place (_atoms). diag_key reads it as a
-comparison key and diagram() writes it as literals, the form in which the
-construction embeds a finite structure and the dividing search grows a
-fresh copy of a tuple over its parameters.
+its positions, is enumerated in one place (_atoms). diagram() writes it as
+literals, the form in which the construction embeds a finite structure and
+the dividing search grows a fresh copy of a tuple over its parameters.
+diag_key reads the same truths in the same order as a comparison key, one
+block at a time by set lookups: the equalities, then each relation's facts
+in signature order. A test checks it against _atoms.
 """
 
 from __future__ import annotations
@@ -452,8 +454,16 @@ def diag_key(structure: FinStructure, tup: tuple[int, ...]) -> tuple:
     """Atomic diagram of a tuple as a comparison key: the truth of every
     atom over its positions (_atoms). Two tuples of one length get the same
     key iff they satisfy the same quantifier-free formulas in the variables
-    of their positions."""
-    return tuple([holds for _, _, holds in _atoms(structure, tup, 0)])
+    of their positions.
+
+    The same truths in _atoms' order, read a block at a time by set
+    lookups: the equalities, then each relation's facts over
+    product(tup, repeat=arity) in signature order."""
+    key = [tup[i] == tup[j] for j in range(len(tup)) for i in range(j)]
+    for rel, ar in structure.signature.relations:
+        if ar:  # _atoms gives no nullary atom: it mentions no position
+            key += map(structure.facts(rel).__contains__, itertools.product(tup, repeat=ar))
+    return tuple(key)
 
 
 def diagram(

@@ -8,6 +8,7 @@ level) entries that the staged construction consumes.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,24 +19,32 @@ from typing import Iterator, Optional
 # levels
 
 
-@dataclass(frozen=True, order=True)
-class LevelOrdinal:
-    """An ordinal below omega+omega: fin(k) or omega_plus(k).
+class LevelOrdinal(tuple):
+    """An ordinal below omega+omega: fin(k) or omega_plus(k), held as the
+    tuple (tag, index).
 
-    Total order: every fin(_) precedes every omega_plus(_). successor()
-    stays on its own side of omega; nothing ever crosses up.
+    Order, equality and hash are the tuple's own, so comparing two levels
+    makes no Python call. The order is total: "fin" < "omega" as text puts
+    every fin(_) before every omega_plus(_), and __new__ admits no other
+    tag. A level equals the plain tuple (tag, index). successor() stays on
+    its own side of omega; nothing ever crosses up.
     """
 
-    # the order compares (tag, index): "fin" < "omega" as text puts every
-    # finite level first, and __post_init__ admits no other tag
-    tag: str  # "fin" | "omega"
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.tag not in ("fin", "omega"):
-            raise ValueError(f"bad level tag {self.tag!r}")
-        if self.index < 0:
+    def __new__(cls, tag: str, index: int) -> "LevelOrdinal":
+        if tag not in ("fin", "omega"):
+            raise ValueError(f"bad level tag {tag!r}")
+        if index < 0:
             raise ValueError("level index must be >= 0")
+        return tuple.__new__(cls, (tag, index))
+
+    def __getnewargs__(self) -> tuple[str, int]:
+        # copy and pickle rebuild a level as LevelOrdinal(tag, index)
+        return tuple(self)
+
+    tag = property(operator.itemgetter(0), doc='"fin" or "omega"')
+    index = property(operator.itemgetter(1))
 
     def successor(self) -> "LevelOrdinal":
         return LevelOrdinal(self.tag, self.index + 1)
@@ -44,6 +53,9 @@ class LevelOrdinal:
         if self.tag == "fin":
             return f"fin{self.index}"
         return f"omega+{self.index}"
+
+    def __repr__(self) -> str:
+        return f"LevelOrdinal(tag={self.tag!r}, index={self.index!r})"
 
     def __str__(self) -> str:
         return self.render()

@@ -344,6 +344,24 @@ def test_malformed_formula_is_a_usage_error(tmp_path):
     assert "bad formula" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "path", sorted(CONFIGS.glob("*.yaml")) + sorted((ROOT / "tests" / "data").glob("*.yaml")),
+    ids=lambda path: path.name,
+)
+def test_config_parser_reads_what_pure_python_yaml_reads(path):
+    text = path.read_text()
+    assert yaml.load(text, Loader=cli._YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def test_bad_yaml_syntax_is_a_usage_error(tmp_path):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("plugin: [unclosed\n")
+    proc = run_cli("schedule", "--config", cfg)
+    assert proc.returncode == 2
+    assert "bad YAML" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_chain_file(tmp_path):
     proc = run_cli(
         "dim",
@@ -362,7 +380,9 @@ def _old_format(doc):
 
 S0 = ("schedule", 0)  # schedule entry 0: E(x0, x0) at fin0, stage 1's one entry
 R0 = ("records", 1, 1, 0)  # stage 2's case-2 record [[0], [1]], new element 1
-R3 = ("records", 3, 1, 0)  # stage 4's case-2 record [[0], [2]], new element 2 at fin2
+# stage 4's case-2 record [[0], [2]] of a fin1 entry, new element 2 at fin2;
+# id 1, made at stage 2, is below the watermark but at omega+2
+R3 = ("records", 3, 1, 0)
 # stage 12's first case-2 record of an omega+0 entry whose previous turn saw
 # the three ids 0, 4 and 5
 R11 = ("records", 11, 8, 0)
@@ -487,6 +507,7 @@ def _extra_relation(doc):
         _set_record(R0, CASE3),
         _append(1),
         _set_at(R0, A, [MAX_ID]),
+        _set_at(R3, A, [1]),
         _set_at(R0, A, [0, 0]),
         _set_at(R11, A, [0]),
         _swap_records,
@@ -510,7 +531,7 @@ def _extra_relation(doc):
         "record-three-items", "record-object", "a-null", "a-dangling",
         "witness-dangling", "new-ids-skip", "witness-too-long", "witness-too-short",
         "case3-orphans-its-element",
-        "orphan-at-the-end", "a-outside-v-before",
+        "orphan-at-the-end", "a-outside-v-before", "a-above-entry-level",
         "a-wrong-length", "a-in-covered-prefix", "records-out-of-order",
         "new-ids-frozen-level", "m0-loop-missing", "plugin-unknown",
         "plugin-other-signature", "signature-extra-relation",

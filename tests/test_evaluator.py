@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from levelsat.evaluator import (
     DefinableSet,
     EvalError,
+    _atoms,
     backtrack,
     count,
     diag_key,
@@ -229,6 +230,48 @@ def test_diag_key_separates_equality_patterns():
     M = _graph((), ((0, fin(0)), (1, fin(0))))
     assert diag_key(M, (0, 0)) != diag_key(M, (0, 1))
     assert diag_key(M, (0, 0)) == diag_key(M, (1, 1))
+
+
+def _atoms_key(M, tup):
+    return tuple(holds for *_, holds in _atoms(M, tup, 0))
+
+
+def _key_tuples(universe, rng):
+    """Tuples of length 0 to 4: every one over the first three ids, so with
+    each pattern of repeated ids, and 50 random ones per length over all."""
+    few = universe[:3]
+    out = [t for n in range(5) for t in itertools.product(few, repeat=n)]
+    return out + [tuple(rng.choice(universe) for _ in range(n)) for n in range(1, 5) for _ in range(50)]
+
+
+@pytest.mark.parametrize("name", sorted(PLUGINS))
+def test_diag_key_is_the_atoms_in_their_order(chains12, name):
+    """diag_key reads by set lookups the truths that _atoms enumerates, in
+    _atoms' order, on each bundled 12-stage final."""
+    M = chains12[name].final
+    rng = random.Random(name)
+    for tup in _key_tuples(M.universe, rng):
+        assert diag_key(M, tup) == _atoms_key(M, tup), tup
+
+
+@pytest.mark.parametrize(
+    "relations", [(("P", 1), ("E", 2)), (("T", 3), ("Z", 0), ("E", 2))], ids=["P-E", "T-Z-E"]
+)
+def test_diag_key_follows_the_signature_order(relations):
+    """Relations listed out of name order, a ternary and a nullary one:
+    diag_key takes them in signature order, as _atoms does, and gives no
+    atom for the nullary relation, which mentions no position."""
+    rng, n = random.Random(str(relations)), 5
+    facts = [
+        (rel, t)
+        for rel, ar in relations
+        if ar
+        for t in itertools.product(range(n), repeat=ar)
+        if rng.random() < 0.5
+    ]
+    M = FinStructure(Signature(relations), tuple((e, fin(0)) for e in range(n)), tuple(facts))
+    for tup in _key_tuples(M.universe, rng):
+        assert diag_key(M, tup) == _atoms_key(M, tup), tup
 
 
 @pytest.mark.parametrize("name", sorted(PLUGINS))

@@ -1,6 +1,8 @@
 """Formula AST, parser/printer, levels, and the schedule enumerators."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from levelsat.formula import (
     And,
     Eq,
     Exists,
+    LevelOrdinal,
     Not,
     Or,
     ParseError,
@@ -58,6 +61,41 @@ def test_successor_stays_on_its_side():
     for _ in range(10):
         lv = lv.successor()
         assert lv.tag == "fin"
+
+
+_LEVELS = [fin(k) for k in range(4)] + [omega_plus(k) for k in range(4)]
+
+
+def test_levels_compare_as_their_tag_and_index():
+    for a, b in itertools.product(_LEVELS, repeat=2):
+        pa, pb = (a.tag, a.index), (b.tag, b.index)
+        assert (a < b, a <= b, a == b, a != b) == (pa < pb, pa <= pb, pa == pb, pa != pb)
+        assert (hash(a) == hash(b)) == (pa == pb)
+        assert a == pa  # a level equals the plain tuple (tag, index)
+
+
+def test_level_reads_and_writes_as_before():
+    shuffled = _LEVELS[::-1][1::2] + _LEVELS[::-1][::2]
+    assert sorted(shuffled) == _LEVELS
+    assert sorted(shuffled, key=lambda lv: (lv.tag, lv.index)) == _LEVELS
+    assert repr(fin(1)) == "LevelOrdinal(tag='fin', index=1)"
+    assert repr(omega_plus(0)) == "LevelOrdinal(tag='omega', index=0)"
+    assert eval(repr(omega_plus(2)), {"LevelOrdinal": LevelOrdinal}) == omega_plus(2)
+    assert [lv.render() for lv in _LEVELS] == [
+        "fin0", "fin1", "fin2", "fin3", "omega+0", "omega+1", "omega+2", "omega+3",
+    ]
+    assert str(omega_plus(3)) == "omega+3"
+    assert fin(3).successor() == fin(4) and omega_plus(3).successor() == omega_plus(4)
+    assert type(fin(0).successor()) is LevelOrdinal
+    for lv in _LEVELS:
+        for back in (copy.deepcopy(lv), pickle.loads(pickle.dumps(lv))):
+            assert type(back) is LevelOrdinal and back == lv
+
+
+@pytest.mark.parametrize("tag, index", [("fin", -1), ("omega", -2), ("w", 0), ("Fin", 1), ("", 0)])
+def test_bad_level_is_a_value_error(tag, index):
+    with pytest.raises(ValueError):
+        LevelOrdinal(tag, index)
 
 
 def test_level_at_interleaves():
