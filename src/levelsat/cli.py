@@ -183,35 +183,19 @@ def load_config(path: str) -> Config:
         _file_name(sname, "set")
         if not isinstance(spec, dict):
             raise ConfigError(f"set {sname!r} must be a mapping")
-        _known(spec, "formula params split cap", f"set {sname!r}")
+        _known(spec, "formula params cap", f"set {sname!r}")
         f = parse_formula(spec.get("formula"))
-        params_raw = spec.get("params") or {}
-        if not isinstance(params_raw, dict):
-            raise ConfigError(f"set {sname!r}: params must be a mapping")
-        split = spec.get("split")
-        if split is None:
-            split = [v for v in roles(f)[0] if v not in params_raw]
-        elif not (
-            isinstance(split, list)
-            and all(isinstance(v, str) and v not in params_raw for v in split)
-            and len(set(split)) == len(split)
-        ):
-            raise ConfigError(
-                f"set {sname!r}: split must be a list of distinct variables, none a parameter"
-            )
+        params = _shaped(spec.get("params"), dict, f"set {sname!r}: params")
         free = free_vars(f)
-        for v in list(split) + list(params_raw):
+        for v in params:
             if v not in free:
                 raise ConfigError(f"set {sname!r}: {v!r} is not free in the formula")
-        leftover = free - set(split) - set(params_raw)
+        # the solution variables: the x* ones that params leaves unbound
+        xs = tuple(v for v in roles(f)[0] if v not in params)
+        leftover = free - set(xs) - set(params)
         if leftover:
             raise ConfigError(f"set {sname!r}: unbound variables {sorted(leftover)}")
-        sets[sname] = SetSpec(
-            f,
-            tuple(split),
-            tuple(sorted(params_raw.items())),
-            _parse_cap(spec.get("cap")),
-        )
+        sets[sname] = SetSpec(f, xs, tuple(sorted(params.items())), _parse_cap(spec.get("cap")))
 
     comparisons = []
     for row in _shaped(doc.get("comparisons"), list, "comparisons"):
@@ -430,8 +414,6 @@ def cmd_divide(
             if witness is None
             else {
                 "instances": [list(t) for t in witness.instances],
-                "confirmed_subsets": [list(t) for t in witness.confirmations],
-                "types_equal": list(witness.type_confirmations),
                 "grown": witness.grown,
             },
             "candidates": drop.candidates_total,

@@ -63,7 +63,7 @@ import json
 from bisect import bisect_right, insort
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .evaluator import diag_key, diagram, evaluate, find_witness, row_witnessed, witnessed
 from .formula import (
@@ -211,13 +211,12 @@ def build_stage(
         alpha = entry.level
         succ = alpha.successor()
         seen = frontier.get(key)
-        k = len(entry.x_vars)
-        skipped = _skipped(seen, k)
         if seen == len(M.v_ids(alpha)):
             # nothing new since its last turn, which processed every tuple
-            audits.append(EntryAudit(entry.position, alpha, seen, skipped, 0, ()))
+            audits.append(_audit(entry, seen, seen))
             continue
         v_now = tuple(M.v_ids(alpha))
+        k = len(entry.x_vars)
         todo = itertools.product(v_now, repeat=k) if seen is None else _touching(v_now, seen, k)
         records = []
         query = (entry.formula, entry.x_vars, entry.y_vars, succ)
@@ -260,9 +259,8 @@ def build_stage(
             records.append(
                 CaseRecord(a_bar, ext.witness, tuple(e for e, _ in ext.delta.new_elements))
             )
-        v_size = frontier[key] = len(v_now)
-        internal = _internal(v_size, k, skipped, records)
-        audits.append(EntryAudit(entry.position, alpha, v_size, skipped, internal, tuple(records)))
+        frontier[key] = len(v_now)
+        audits.append(_audit(entry, len(v_now), seen, records))
     return M._freeze(), StageAudit(stage, tuple(audits))
 
 
@@ -309,16 +307,18 @@ def _turn(entry: ScheduleEntry) -> tuple[LevelOrdinal, int]:
     return entry.level, entry.position
 
 
-def _skipped(seen: Optional[int], k: int) -> int:
-    """The skip rule: the k-tuples over the V_alpha of size seen that an
-    entry's previous turn saw (None before its first turn) were processed
-    then. New ids come last, so that V_alpha is a prefix of today's."""
-    return 0 if seen is None else seen**k
-
-
-def _internal(v_size: int, k: int, skipped: int, records: list) -> int:
-    """Case-1 tuples: the k-tuples over V_alpha not skipped or recorded."""
-    return v_size**k - skipped - len(records)
+def _audit(
+    entry: ScheduleEntry, v_size: int, seen: Optional[int], records: Sequence[CaseRecord] = ()
+) -> EntryAudit:
+    """The audit of an entry's turn over a V_alpha of v_size ids. The skip
+    rule: the k-tuples over the V_alpha of size seen that the entry's
+    previous turn saw (None before its first turn) were processed then. New
+    ids come last, so that V_alpha is a prefix of today's. Case 1 settled
+    the k-tuples neither skipped nor recorded."""
+    k = len(entry.x_vars)
+    skipped = 0 if seen is None else seen**k
+    internal = v_size**k - skipped - len(records)
+    return EntryAudit(entry.position, entry.level, v_size, skipped, internal, tuple(records))
 
 
 def _touching(ids: tuple[int, ...], p: int, k: int) -> Iterable[tuple[int, ...]]:
@@ -636,10 +636,10 @@ def chain_from_doc(doc: dict) -> StageChain:
             if seen == p and not recs:
                 # the cut its obligation saw last turn: all skipped, nothing new
                 if idle[i] is None or idle[i].v_size != p:
-                    idle[i] = EntryAudit(entry.position, entry.level, p, p**k, 0, ())
+                    idle[i] = _audit(entry, p, p)
                 entries.append(idle[i])
                 continue
-            skipped, floor, records = _skipped(seen, k), (vids[i][seen - 1] if seen else -1), []
+            floor, records = (vids[i][seen - 1] if seen else -1), []
             for r in recs:
                 rec = _record_from_doc(r, final, watermark, len(entry.y_vars))
                 a = rec.a_tuple
@@ -656,11 +656,7 @@ def chain_from_doc(doc: dict) -> StageChain:
                 records.append(rec)
                 watermark += len(rec.new_ids)
             frontier[keys[i]] = p
-            # distinct processed tuples: never more than the tuples left
-            internal = _internal(p, k, skipped, records)
-            entries.append(
-                EntryAudit(entry.position, entry.level, p, skipped, internal, tuple(records))
-            )
+            entries.append(_audit(entry, p, seen, records))
         ends.append(watermark + 1)
         audits.append(StageAudit(stage, tuple(entries)))
     ends[-1] += embedded

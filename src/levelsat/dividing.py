@@ -9,7 +9,10 @@ oracle refuses. Joint unrealizability depends only on the quantifier-free
 type of the parameters involved, so such a family stays k-inconsistent in
 every later or extended structure, and certify_dividing asks the oracle once
 per atomic diagram of a k-subset's parameters; every later subset with that
-diagram reads the answer from a memo kept for the one call.
+diagram reads the answer from a memo kept for the one call. A certificate
+lists its instances and no confirmations: an instance joins the family only
+once every k-subset it forms with earlier members is refused, and a grown
+instance not of b-bar's type is an internal fault.
 
 Finite k-inconsistency is not dividing, and the instances may share
 elements, so a certificate does not show that phi divides. On the 30-stage
@@ -71,18 +74,14 @@ def _matching_tuples(
 @dataclass(frozen=True)
 class DividesWitness:
     """A verified k-inconsistent family. instances are the parameter tuples,
-    type_confirmations records each instance's type equality against the
-    first (over a_ids), confirmations the k-subsets (as index tuples) checked
-    jointly unrealizable, grown how many instances came from oracle growth
-    after the greedy pass, structure the structure the certificate lives
-    in."""
+    each of b's quantifier-free type over a_ids, every k of them jointly
+    unrealizable; grown is how many instances came from oracle growth after
+    the greedy pass, structure the structure the certificate lives in."""
 
     formula_text: str
     k: int
     a_ids: tuple[int, ...]
     instances: tuple[tuple[int, ...], ...]
-    type_confirmations: tuple[bool, ...]
-    confirmations: tuple[tuple[int, ...], ...]
     grown: int
     structure: FinStructure
 
@@ -167,22 +166,19 @@ def certify_dividing(
         return phi, dict(base + tuple(zip(ys, c)))
 
     family: list[tuple[int, ...]] = []
-    confirmations: list[tuple[int, ...]] = []
     realizable: dict[tuple, bool] = {}
 
     def admit(c: tuple[int, ...], M_now: FinStructure) -> bool:
-        """True iff every k-subset formed with c is jointly unrealizable;
-        records the confirmed subsets. Rejection leaves no record."""
-        fresh: list[tuple[int, ...]] = []
-        for S in itertools.combinations(range(len(family)), k - 1):
-            key = diag_key(M_now, a_ids + tuple(e for i in S for e in family[i]) + c)
+        """True iff every k-subset c forms with the family is jointly
+        unrealizable, so admitting only such c keeps all of the family's
+        k-subsets refused."""
+        for S in itertools.combinations(family, k - 1):
+            key = diag_key(M_now, a_ids + tuple(e for d in S for e in d) + c)
             if key not in realizable:
-                cons = [constraint(family[i]) for i in S] + [constraint(c)]
+                cons = [constraint(d) for d in S] + [constraint(c)]
                 realizable[key] = plugin.jointly_realizable(M_now, xs, cons)
             if realizable[key]:
                 return False
-            fresh.append(S + (len(family),))
-        confirmations.extend(fresh)
         return True
 
     for c in _matching_tuples(M, a_ids, b_ids, seed):
@@ -192,7 +188,6 @@ def certify_dividing(
                 break
 
     grown = 0
-    target = diag_key(M, a_ids + b_ids)
     while len(family) < L:
         fam_ids = tuple(sorted({e for c in family for e in c if e not in a_ids}))
         chi, p_vars, w_vars, p_ids = _type_formula(M, a_ids, b_ids, fam_ids)
@@ -208,17 +203,14 @@ def certify_dividing(
             return None
         M = apply_delta(M, ext.delta)
         c = ext.witness
-        if diag_key(M, a_ids + c) != target:
+        if not qf_type_equal(M, c, b_ids, over=a_ids):
             raise InternalFaultError("grown instance has the wrong type")
         if not admit(c, M):
             return None
         family.append(c)
         grown += 1
 
-    types_ok = tuple(qf_type_equal(M, c, family[0], over=a_ids) for c in family)
-    return DividesWitness(
-        render(phi), k, a_ids, tuple(family), types_ok, tuple(confirmations), grown, M
-    )
+    return DividesWitness(render(phi), k, a_ids, tuple(family), grown, M)
 
 
 # ---------------------------------------------------------------------------

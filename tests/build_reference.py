@@ -16,7 +16,6 @@ from levelsat.construction import (
     EntryAudit,
     StageAudit,
     StageChain,
-    _skipped,
     _touching,
     _turn,
     build_m0,
@@ -52,8 +51,10 @@ def reference_stage(plugin, prev, entries, stage, frontier, views=None):
         frontier[entry.key()] = len(v_now)
         if views is not None:
             views.append((stage, entry.position, v_now))
+        # the tuples over the V_alpha of the previous turn, processed then
+        skipped = 0 if seen is None else seen**k
         audits.append(
-            EntryAudit(entry.position, entry.level, len(v_now), _skipped(seen, k), internal, tuple(records))
+            EntryAudit(entry.position, entry.level, len(v_now), skipped, internal, tuple(records))
         )
     return M._freeze(), StageAudit(stage, tuple(audits))
 

@@ -2,9 +2,9 @@
 
 certify_dividing as it was before it asked the joint-realizability oracle
 once per atomic diagram: admit calls plugin.jointly_realizable for every
-k-subset it checks. The pool, the greedy pass, the growth steps and the
-records are the search's own, so a certificate found here must equal
-certify_dividing's field for field, its structure included.
+k-subset it checks. The pool, the greedy pass and the growth steps are
+the search's own, so a certificate found here must equal certify_dividing's
+field for field, its structure included.
 """
 
 import itertools
@@ -16,7 +16,7 @@ from levelsat.dividing import (
     _next_fin_level,
     _type_formula,
 )
-from levelsat.evaluator import diag_key, qf_type_equal
+from levelsat.evaluator import diag_key
 from levelsat.formula import render, roles
 from levelsat.structures import apply_delta
 
@@ -29,16 +29,13 @@ def reference_certify(plugin, chain, phi, a_ids, b_ids, k, L, *, seed=0):
     def constraint(c):
         return phi, dict(base + tuple(zip(ys, c)))
 
-    family, confirmations = [], []
+    family = []
 
     def admit(c, M_now):
-        fresh = []
         for S in itertools.combinations(range(len(family)), k - 1):
             cons = [constraint(family[i]) for i in S] + [constraint(c)]
             if plugin.jointly_realizable(M_now, xs, cons):
                 return False
-            fresh.append(S + (len(family),))
-        confirmations.extend(fresh)
         return True
 
     for c in _matching_tuples(M, a_ids, b_ids, seed):
@@ -66,7 +63,4 @@ def reference_certify(plugin, chain, phi, a_ids, b_ids, k, L, *, seed=0):
         family.append(c)
         grown += 1
 
-    types_ok = tuple(qf_type_equal(M, c, family[0], over=a_ids) for c in family)
-    return DividesWitness(
-        render(phi), k, a_ids, tuple(family), types_ok, tuple(confirmations), grown, M
-    )
+    return DividesWitness(render(phi), k, a_ids, tuple(family), grown, M)

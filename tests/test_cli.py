@@ -248,8 +248,7 @@ def test_divide_command_certifies_and_surveys(equiv_build, tmp_path):
     report = json.loads((tmp_path / "divide_report.json").read_text())
     exp = report["experiments"][0]
     assert exp["certified"] is True
-    assert exp["certificate"]["instances"] == [[0], [4], [5]]
-    assert exp["certificate"]["grown"] == 0
+    assert exp["certificate"] == {"instances": [[0], [4], [5]], "grown": 0}
     assert exp["candidates"] == 92
     assert exp["n_diverges_neg"] == 36
     assert exp["best"]["instance"] == [4]
@@ -755,12 +754,6 @@ def test_each_command_takes_only_its_options(capsys):
         assert listed == ["--help", *options]
 
 
-def _set_split(split):
-    def edit(doc):
-        doc["sets"]["class_of_b"]["split"] = split
-    return edit
-
-
 def _rename_set(name):
     def edit(doc):
         doc["sets"][name] = doc["sets"].pop("class_of_b")
@@ -816,7 +809,7 @@ def _second_experiment(b):
     return edit
 
 
-SPLIT_ERROR = "split must be a list of distinct variables, none a parameter"
+PARAMS_ERROR = "set 'ambient': params must be a mapping"
 NAME_ERROR = "must be a plain file name"
 CSV_ERROR = "would share class_drop."
 
@@ -824,11 +817,11 @@ CSV_ERROR = "would share class_drop."
 @pytest.mark.parametrize(
     "command, edit, message",
     [
-        ("dim", _set_split(5), SPLIT_ERROR),
-        ("divide", _set_split(5), SPLIT_ERROR),
-        ("dim", _set_split("x0"), SPLIT_ERROR),
-        ("dim", _set_split(["x0", "x0"]), SPLIT_ERROR),
-        ("dim", _set_split(["x0", "y0"]), SPLIT_ERROR),
+        ("dim", _set_at(("sets", "class_of_b"), "split", ["x0"]), "set 'class_of_b': unknown key 'split'"),
+        ("dim", _set_at(("sets", "ambient"), "params", []), PARAMS_ERROR),
+        ("dim", _set_at(("sets", "ambient"), "params", 0), PARAMS_ERROR),
+        ("dim", _set_at(("sets", "ambient"), "params", ""), PARAMS_ERROR),
+        ("divide", _set_at(("sets", "ambient"), "params", False), PARAMS_ERROR),
         ("dim", _rename_set("../../outside"), NAME_ERROR),
         ("dim", _rename_set(".."), NAME_ERROR),
         ("dim", _rename_set(""), NAME_ERROR),
@@ -850,8 +843,8 @@ CSV_ERROR = "would share class_drop."
         ("divide", _second_experiment(["first_at_level fin1"] * 2), "phi has 1 instance slots, got 2 ids"),
     ],
     ids=[
-        "split-number-dim", "split-number-divide", "split-text", "split-repeated",
-        "split-parameter", "set-name-escapes", "set-name-dotdot", "set-name-empty",
+        "split-key-unknown", "params-list", "params-zero", "params-empty-text",
+        "params-false", "set-name-escapes", "set-name-dotdot", "set-name-empty",
         "set-name-nul", "set-name-number", "experiment-name-escapes",
         "experiment-name-dot", "experiment-name-number", "experiment-names-repeated",
         "set-name-psi-csv", "set-name-phi-csv", "plugin-list", "comparison-side-list",
@@ -863,11 +856,12 @@ def test_bad_set_or_experiment_exits_before_any_output(
     equiv_build, tmp_path, command, edit, message
 ):
     """Set and experiment names become output file names, so they must be
-    plain, unique ones, and no set's CSV may be an experiment's; a set's
-    split names distinct non-parameter variables. A plugin, comparison side
-    or psi that is not text names nothing. A key the config grammar does not
-    have is refused, not dropped. A comparison or experiment that fails
-    after a good one leaves no output of the good one behind."""
+    plain, unique ones, and no set's CSV may be an experiment's. A set's
+    params must be a mapping, and a falsy value is not one. A plugin,
+    comparison side or psi that is not text names nothing. A key the config
+    grammar does not have is refused, not dropped. A comparison or
+    experiment that fails after a good one leaves no output of the good one
+    behind."""
     out, _ = equiv_build
     doc = yaml.safe_load((CONFIGS / "equivalence_drop.yaml").read_text())
     edit(doc)
@@ -885,12 +879,17 @@ def test_bad_set_or_experiment_exits_before_any_output(
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
 
 
-def test_an_explicit_split_names_the_set_variables(tmp_path):
+def test_set_variables_are_the_x_variables_params_leave_unbound(tmp_path):
+    """A set's solution variables are its x* variables in role order, less
+    those bound under params: an x* variable under params is a parameter."""
     doc = yaml.safe_load((CONFIGS / "equivalence_drop.yaml").read_text())
-    doc["sets"]["class_of_b"]["split"] = ["x0"]
-    cfg = tmp_path / "split.yaml"
+    doc["sets"]["pair"] = {"formula": "E(x10, y0) & E(x2, x1)", "params": {"x1": 3, "y0": 4}}
+    cfg = tmp_path / "pair.yaml"
     cfg.write_text(yaml.safe_dump(doc))
-    assert load_config(cfg).sets == load_config(CONFIGS / "equivalence_drop.yaml").sets
+    sets = load_config(cfg).sets
+    assert sets["pair"].vars == ("x2", "x10")
+    assert sets["pair"].params == (("x1", 3), ("y0", 4))
+    assert sets["ambient"].vars == sets["class_of_b"].vars == ("x0",)
 
 
 @pytest.mark.parametrize(

@@ -100,13 +100,25 @@ def test_covering_check_singletons_pigeonhole():
 # -- certify_dividing -----------------------------------------------------------
 
 
+def _assert_certifies(plugin, phi, a, b, w):
+    """What a certificate claims, recomputed in its structure: each
+    instance has b's quantifier-free type over a, and the oracle refuses
+    every k of the instances jointly."""
+    xs, ys, rest = roles(phi)
+    M = w.structure
+    assert all(diag_key(M, a + c) == diag_key(M, a + b) for c in w.instances)
+    base = tuple(zip(rest, a))
+    for S in itertools.combinations(w.instances, w.k):
+        cons = [(phi, dict(base + tuple(zip(ys, c)))) for c in S]
+        assert not plugin.jointly_realizable(M, xs, cons), S
+
+
 def test_certificate_on_equivalence_chain(equiv30):
     w = certify_dividing(EQUIV, equiv30, E_PHI, (), (3,), k=2, L=3)
     assert w is not None
     assert w.instances == ((0,), (4,), (5,))
     assert w.grown == 0
-    assert all(w.type_confirmations)
-    assert w.confirmations == ((0, 1), (0, 2), (1, 2))
+    _assert_certifies(EQUIV, E_PHI, (), (3,), w)
     assert w.structure is equiv30.final
 
 
@@ -118,11 +130,8 @@ def test_certificate_survives_extension(equiv30):
         M, ExtensionDelta(((new, fin(9)),), (("E", (new, new)),))
     )
     assert EQUIV.validate_t_forall(bigger) == []
-    for i, j in w.confirmations:
-        cons = [
-            (E_PHI, {"y0": w.instances[i][0]}),
-            (E_PHI, {"y0": w.instances[j][0]}),
-        ]
+    for (ci,), (cj,) in itertools.combinations(w.instances, 2):
+        cons = [(E_PHI, {"y0": ci}), (E_PHI, {"y0": cj})]
         assert not EQUIV.jointly_realizable(bigger, ("x0",), cons)
     assert all(qf_type_equal(bigger, c, w.instances[0]) for c in w.instances)
 
@@ -136,7 +145,7 @@ def test_k1_unrealizable_gives_singleton_family(equiv30):
     w = certify_dividing(EQUIV, equiv30, phi, (), (3,), k=1, L=1)
     assert w is not None
     assert len(w.instances) == 1
-    assert w.confirmations == ((0,),)
+    _assert_certifies(EQUIV, phi, (), (3,), w)
 
 
 @pytest.mark.parametrize(
@@ -151,12 +160,13 @@ def test_certificate_grows_fresh_instances(chains12, text, b, L, grown, last, si
     oracle grows the rest, each a fresh copy of b's diagram apart from the
     family so far."""
     chain = chains12["generic_equivalence"]
-    w = certify_dividing(EQUIV, chain, parse(text, EQUIV.signature), (), b, k=2, L=L)
+    phi = parse(text, EQUIV.signature)
+    w = certify_dividing(EQUIV, chain, phi, (), b, k=2, L=L)
     assert w is not None
     assert w.grown == grown
     assert len(w.instances) == L and w.instances[-1] == last
     assert w.structure.size() == size
-    assert all(w.type_confirmations)
+    _assert_certifies(EQUIV, phi, (), b, w)
     assert EQUIV.validate_t_forall(w.structure) == []
 
 
@@ -216,8 +226,7 @@ DIFF_PHIS = {
 def _certificate(w):
     if w is None:
         return None
-    fields = (w.formula_text, w.k, w.a_ids, w.instances, w.type_confirmations)
-    return fields + (w.confirmations, w.grown, w.structure.to_doc())
+    return (w.formula_text, w.k, w.a_ids, w.instances, w.grown, w.structure.to_doc())
 
 
 def _assert_matches_reference(plugin, chain, texts, cases):
@@ -243,7 +252,7 @@ def _assert_matches_reference(plugin, chain, texts, cases):
 @pytest.mark.parametrize("name", sorted(PLUGINS))
 def test_certify_matches_the_per_subset_reference(chains12, name):
     """Asking the oracle once per atomic diagram changes no certificate:
-    family, confirmations, growth and grown structure equal the reference's,
+    family, growth and grown structure equal the reference's,
     which asks once per k-subset."""
     cases = [(k, k + 2) for k in (1, 2, 3, 4)]
     seen = _assert_matches_reference(get_plugin(name), chains12[name], DIFF_PHIS[name], cases)
