@@ -17,7 +17,13 @@ parent's interquartile range as a share of its median, and the pairs the
 change won (ties count for neither side). A gain holds when the change wins
 at least nine tenths of the pairs and its median is better than the
 parent's by more than the parent's interquartile range; a loss is the same
-rule read the other way. The last line is one JSON object with every run.
+rule read the other way. A last column reads the metric's `bound` from
+BENCHMARK.json, a share of the parent's median: `within` unless the
+change's median is worse than the parent's by more than the bound, then
+`beyond`, and `unresolved` when the parent's own interquartile range is
+wider than the bound, so that the runs cannot tell, unless every run of
+the change is better than every run of the parent. The last line is one
+JSON object with every run.
 """
 
 from __future__ import annotations
@@ -69,6 +75,23 @@ def verdict(parent: list[float], change: list[float], lower: bool) -> tuple[int,
     return won, "-"
 
 
+def against_bound(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
+    """The change's median against the parent's, which it may be worse than
+    by bound, a share of the parent's median: "within", "beyond", or
+    "unresolved" when the parent's IQR is wider than the bound, unless every
+    run of the change is better than every run of the parent."""
+    sign = 1 if lower else -1
+    q1, med, q3 = quartiles(parent)
+    if not med:
+        return "n/a"
+    if max(sign * c for c in change) < min(sign * p for p in parent):
+        return "within"
+    if (q3 - q1) / abs(med) > bound:
+        return "unresolved"
+    worse = sign * (statistics.median(change) - med) / abs(med)
+    return "beyond" if worse > bound else "within"
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -92,17 +115,18 @@ def main() -> None:
                   file=sys.stderr)
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
     print(f"{'metric':<14}{'parent median [q1, q3]':>34}{'change median [q1, q3]':>34}"
-          f"{'change':>9}{'IQR':>8}{'won':>6}  verdict")
+          f"{'change':>9}{'IQR':>8}{'won':>6}  verdict  bound")
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         got = {s: [r["metrics"][name] for r in rows if r["side"] == s] for s in sides}
         (p1, pm, p3), (c1, cm, c3) = quartiles(got["parent"]), quartiles(got["change"])
         won, says = verdict(got["parent"], got["change"], lower)
+        held = against_bound(got["parent"], got["change"], lower, m["bound"])
         rel = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
         iqr = f"{(p3 - p1) / pm:.1%}" if pm else "n/a"
         print(f"{name:<14}{f'{pm:.4g} [{p1:.4g}, {p3:.4g}]':>34}"
               f"{f'{cm:.4g} [{c1:.4g}, {c3:.4g}]':>34}{rel:>9}{iqr:>8}"
-              f"{f'{won}/{args.pairs}':>6}  {says}")
+              f"{f'{won}/{args.pairs}':>6}  {says:<7}  {held} {m['bound']:.0%}")
     bad = [r for r in rows if not r["correct"] or r["failed"]]
     print(f"runs not correct or with failed operations: {len(bad)} of {len(rows)}")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,

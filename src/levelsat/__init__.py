@@ -8,121 +8,40 @@ theory plugins with extension oracles (theory), the stage builder
 certificates and the drop survey (dividing), SVG plots (plots), and the
 command line (cli)."""
 
-from .construction import (
-    ConstructionError,
-    InternalFaultError,
-    StageChain,
-    build_chain,
-    build_m0,
-    check_level_freeze,
-    embed_model,
-    load_chain,
-    serialize_chain,
-    strongly_satisfies,
-    verify_axioms_on_levels,
-)
-from .dimension import (
-    BOUNDED,
-    DIVERGES_NEG,
-    DIVERGES_POS,
-    INCONCLUSIVE,
-    DimCompareResult,
-    DimTrend,
-    dim_compare,
-    export_trend_csv,
-    mu,
-    product_set,
-    quasi_axiom_report,
-    read_trend_csv,
-    trend,
-)
-from .dividing import (
-    CoveringReport,
-    DividesWitness,
-    DropReport,
-    certify_dividing,
-    covering_bound,
-    covering_check,
-    find_dimension_drop,
-)
-from .evaluator import DefinableSet, count, diag_key, evaluate, qf_type_equal, solutions
-from .formula import (
-    OMEGA,
-    Formula,
-    LevelOrdinal,
-    ParseError,
-    ScheduleEntry,
-    Signature,
-    enumerate_schedule,
-    fin,
-    omega_plus,
-    parse,
-    parse_level,
-    render,
-    seeded_schedule,
-)
-from .structures import ExtensionDelta, FinStructure, StructureError, apply_delta
-from .theory import PLUGINS, OracleError, TheoryPlugin, get_plugin
+import importlib
+
+# every public name, under the module that defines it. A module is imported
+# on the first access to one of its names (PEP 562), so `import levelsat`
+# and `import levelsat.cli` load only what a command goes on to use.
+_NAMES = {
+    "construction": "ConstructionError InternalFaultError StageChain build_chain build_m0 "
+    "check_level_freeze embed_model load_chain serialize_chain strongly_satisfies "
+    "verify_axioms_on_levels",
+    "dimension": "BOUNDED DIVERGES_NEG DIVERGES_POS INCONCLUSIVE DimCompareResult DimTrend "
+    "dim_compare export_trend_csv mu product_set quasi_axiom_report read_trend_csv trend",
+    "dividing": "CoveringReport DividesWitness DropReport certify_dividing covering_bound "
+    "covering_check find_dimension_drop",
+    "evaluator": "DefinableSet count diag_key evaluate qf_type_equal solutions",
+    "formula": "OMEGA Formula LevelOrdinal ParseError ScheduleEntry Signature "
+    "enumerate_schedule fin omega_plus parse parse_level render seeded_schedule",
+    "structures": "ExtensionDelta FinStructure StructureError apply_delta",
+    "theory": "PLUGINS OracleError TheoryPlugin get_plugin",
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOUNDED",
-    "DIVERGES_NEG",
-    "DIVERGES_POS",
-    "INCONCLUSIVE",
-    "OMEGA",
-    "PLUGINS",
-    "ConstructionError",
-    "CoveringReport",
-    "DefinableSet",
-    "DimCompareResult",
-    "DimTrend",
-    "DividesWitness",
-    "DropReport",
-    "ExtensionDelta",
-    "FinStructure",
-    "Formula",
-    "InternalFaultError",
-    "LevelOrdinal",
-    "OracleError",
-    "ParseError",
-    "ScheduleEntry",
-    "Signature",
-    "StageChain",
-    "StructureError",
-    "TheoryPlugin",
-    "apply_delta",
-    "build_chain",
-    "build_m0",
-    "certify_dividing",
-    "check_level_freeze",
-    "count",
-    "covering_bound",
-    "covering_check",
-    "diag_key",
-    "dim_compare",
-    "embed_model",
-    "enumerate_schedule",
-    "evaluate",
-    "export_trend_csv",
-    "fin",
-    "find_dimension_drop",
-    "get_plugin",
-    "load_chain",
-    "mu",
-    "omega_plus",
-    "parse",
-    "parse_level",
-    "product_set",
-    "qf_type_equal",
-    "quasi_axiom_report",
-    "read_trend_csv",
-    "render",
-    "seeded_schedule",
-    "serialize_chain",
-    "solutions",
-    "strongly_satisfies",
-    "trend",
-    "verify_axioms_on_levels",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

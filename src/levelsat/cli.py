@@ -22,6 +22,7 @@ or usage error; 3 internal invariant violation or any other exception.
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import os
 import sys
@@ -39,8 +40,6 @@ from .construction import (
     load_chain,
     serialize_chain,
 )
-from .dimension import VERDICTS, dim_compare, export_trend_csv, trend
-from .dividing import certify_dividing, find_dimension_drop
 from .evaluator import DefinableSet
 from .formula import (
     Formula,
@@ -54,9 +53,33 @@ from .formula import (
     roles,
     seeded_schedule,
 )
-from .plots import trend_plot_svg
 from .structures import FinStructure, canonical_json
 from .theory import PLUGINS, get_plugin
+
+# names that only dim and divide call, bound on first use: build, schedule
+# and export never import dimension, dividing or plots
+_LATE = {
+    "VERDICTS": "dimension", "trend": "dimension", "dim_compare": "dimension",
+    "export_trend_csv": "dimension", "certify_dividing": "dividing",
+    "find_dimension_drop": "dividing", "trend_plot_svg": "plots",
+}
+
+
+def __getattr__(name: str):
+    module = _LATE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _bind(*names: str) -> None:
+    """Bind the late names a command is about to call. A name that is bound
+    already, say to a wrapper set on this module, is kept."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
 
 
 class ConfigError(ValueError):
@@ -334,6 +357,7 @@ def _load_chain_file(path: str, plugin: Optional[str] = None) -> StageChain:
 
 
 def cmd_dim(cfg: Config, chain: StageChain, out_dir: Path, expect: list[str]) -> int:
+    _bind("trend", "dim_compare", "export_trend_csv", "trend_plot_svg")
     final = chain.final
     report = {"window": cfg.window, "bound": cfg.bound, "comparisons": []}
     # every comparison is made before the first line is printed or written,
@@ -377,6 +401,7 @@ def cmd_dim(cfg: Config, chain: StageChain, out_dir: Path, expect: list[str]) ->
 def cmd_divide(
     cfg: Config, chain: StageChain, seed: int, out_dir: Path, expect: list[str]
 ) -> int:
+    _bind("certify_dividing", "find_dimension_drop", "export_trend_csv")
     plugin = get_plugin(cfg.plugin)
     final = chain.final
     report = {"window": cfg.window, "bound": cfg.bound, "seed": seed, "experiments": []}
@@ -455,6 +480,7 @@ def _dim_holds(verdicts: list[str]) -> dict[str, bool]:
     """Whether each dim --expect token holds, given the comparisons'
     verdicts: verdict=V when every comparison reads V, any-verdict=V when
     some does. With no comparison, none holds."""
+    _bind("VERDICTS")
     return {
         f"{kind}={v}": bool(verdicts) and test(r == v for r in verdicts)
         for kind, test in (("verdict", all), ("any-verdict", any))

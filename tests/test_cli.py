@@ -56,6 +56,83 @@ def test_import_leaves_the_network_stack_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+_FRESH_RUN = """\
+import contextlib, io, json, sys
+from levelsat import cli
+config, out = sys.argv[1:]
+analysis = ("levelsat.dimension", "levelsat.dividing", "levelsat.plots")
+loaded = {}
+def run(*args):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*args, "--config", config, "--out-dir", out]) == 0
+chain = ["--chain", f"{out}/generic_equivalence.chain.json"]
+cli.load_config(config)
+loaded["load_config"] = [m for m in analysis if m in sys.modules]
+run("build")
+loaded["build"] = [m for m in analysis if m in sys.modules]
+run("dim", *chain)
+loaded["dim"] = [m for m in analysis if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    """In a fresh interpreter, importing the command line, loading a config
+    and building compile none of dimension, dividing and plots, and dim
+    leaves dividing unloaded: start-up time is part of every command."""
+    cfg = CONFIGS / "equivalence_drop.yaml"
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUN, str(cfg), str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded["load_config"] == [] and loaded["build"] == []
+    assert "levelsat.dividing" not in loaded["dim"]
+
+
+_WRAPPED_RUN = """\
+import collections, contextlib, importlib, io, json, sys
+from levelsat import cli
+config, chain, out = sys.argv[1:]
+calls = collections.Counter()
+def counting(module, name):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return getattr(importlib.import_module(module), name)(*args, **kwargs)
+    return wrapper
+assert not {"levelsat.dividing", "levelsat.plots"} & set(sys.modules)
+cli.certify_dividing = counting("levelsat.dividing", "certify_dividing")
+cli.trend_plot_svg = counting("levelsat.plots", "trend_plot_svg")
+for command in ("divide", "dim"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, "--config", config, "--chain", chain, "--out-dir", out]) == 0
+print(json.dumps(calls))
+"""
+
+
+def test_a_wrapper_set_on_the_cli_before_first_use_is_kept(equiv_build, tmp_path):
+    """A wrapper set on `levelsat.cli` before the module that defines the
+    name is loaded is what dim and divide call, as the benchmark tracer
+    needs, and the files they write are those of an unwrapped run."""
+    out, _ = equiv_build
+    cfg = str(CONFIGS / "equivalence_drop.yaml")
+    chain = str(out / "generic_equivalence.chain.json")
+    wrapped, plain = tmp_path / "wrapped", tmp_path / "plain"
+    proc = subprocess.run(
+        [sys.executable, "-c", _WRAPPED_RUN, cfg, chain, str(wrapped)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"certify_dividing": 1, "trend_plot_svg": 1}
+    for command in ("divide", "dim"):
+        assert cli.main([command, "--config", cfg, "--chain", chain, "--out-dir", str(plain)]) == 0
+    files = sorted(p.name for p in plain.iterdir())
+    assert files == sorted(p.name for p in wrapped.iterdir())
+    for name in files:
+        assert (wrapped / name).read_bytes() == (plain / name).read_bytes(), name
+
+
 def test_build_writes_chain_and_audit(equiv_build):
     out, stdout = equiv_build
     assert (out / "generic_equivalence.chain.json").is_file()
